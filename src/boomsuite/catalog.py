@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-import yaml
-
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -316,6 +314,11 @@ class Catalog:
 
 
 def _read_yaml(path: str | Path) -> Any:
+    """Parse one YAML input file; every loader in the package reads through
+    here.  PyYAML is imported on first use, so importing the package does
+    not load it."""
+    import yaml
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
@@ -539,6 +542,8 @@ def _sensor_to_dict(s: SensorRecord) -> dict[str, Any]:
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog back to disk; load_catalog(save_catalog(c)) == c."""
+    import yaml
+
     doc = {"sensors": [_sensor_to_dict(s) for s in catalog]}
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)

@@ -6,10 +6,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
-from .catalog import Catalog, SensorRecord
-from .errors import ConfigError, ValidationError
+from .catalog import Catalog, SensorRecord, _read_yaml
+from .errors import ValidationError
 from .geometry import Mount, TubeSection
 
 __all__ = ["MountSpec", "load_mounts"]
@@ -37,14 +35,7 @@ class MountSpec:
 
 def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
     """Load a mount specification, resolving sensor ids against a catalog."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    doc = _read_yaml(path)
     if not isinstance(doc, Mapping):
         raise ValidationError("mounts", "file", "expected a mapping")
 

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-import yaml
-
-from .catalog import Catalog, Modality, Ordinal, PixelGrid, SensorRecord
-from .errors import ConfigError, ScoringError, ValidationError
+from .catalog import Catalog, Modality, Ordinal, PixelGrid, SensorRecord, _read_yaml
+from .errors import ScoringError, ValidationError
 
 __all__ = [
     "CriterionName",
@@ -363,14 +361,7 @@ def _parse_bin(raw: Any, subject: str) -> BinRule:
 
 def load_profile(path: str | Path) -> ScoringProfile:
     """Load a scoring profile file (criteria, weights, bins, overrides)."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    doc = _read_yaml(path)
     if not isinstance(doc, Mapping):
         raise ValidationError("profile", "file", "expected a mapping")
 

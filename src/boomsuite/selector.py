@@ -7,8 +7,11 @@ compatibility.  Two independent routes exist on purpose:
 
 * ``enumerate_suites`` exhaustively materializes every feasible suite
   (flat cross product, guarded against combinatorial blowup), and
-* ``select_best`` runs a best-first search over per-placement ranked
-  subsets with score-bound pruning.
+* ``select_best`` runs a lazy best-first search: each placement's
+  admissible subsets are drawn from a heap in non-increasing score order,
+  only as far as the score bound needs, and stage plans are looked up in
+  one table per distinct body anchor (the body's longest-range sensor),
+  so a body whose anchor pairs with no tip anchor is skipped outright.
 
 They must agree; the test suite checks them against each other on
 randomized catalogs.  The final reduction is deterministic: ties break
@@ -18,8 +21,10 @@ by lower total price, then lower total mass, then lexicographic ids.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 from .catalog import Catalog, MissionConfig, Modality, SensorRecord
 from .errors import EnumerationGuardError, NoFeasibleSuiteError
@@ -136,6 +141,21 @@ def _subset_ok(slot: _Slot, subset: tuple[SensorRecord, ...]) -> bool:
     return True
 
 
+def _ranged(sensor: SensorRecord) -> bool:
+    return sensor.range_max is not None and sensor.range_min is not None
+
+
+def _anchor(subset: tuple[SensorRecord, ...]) -> SensorRecord | None:
+    """Longest-range sensor of a placement (the first of equals), or None
+    when the placement has no ranged sensor."""
+    ranged = [s for s in subset if _ranged(s)]
+    return max(ranged, key=lambda s: s.range_max) if ranged else None
+
+
+def _usable(plan: StagePlan | None) -> bool:
+    return plan is not None and (plan.valid or plan.marginal)
+
+
 def _suite_stage_plan(
     body: tuple[SensorRecord, ...],
     distal: tuple[SensorRecord, ...],
@@ -143,12 +163,9 @@ def _suite_stage_plan(
 ) -> StagePlan | None:
     """Stage plan anchored on the longest-range sensor of each placement;
     None when either placement lacks a ranged sensor."""
-    far = [s for s in body if s.range_max is not None and s.range_min is not None]
-    near = [s for s in distal if s.range_max is not None and s.range_min is not None]
-    if not far or not near:
+    far_anchor, near_anchor = _anchor(body), _anchor(distal)
+    if far_anchor is None or near_anchor is None:
         return None
-    far_anchor = max(far, key=lambda s: s.range_max)
-    near_anchor = max(near, key=lambda s: s.range_max)
     return stage_plan(far_anchor, near_anchor, mission.boom_length)
 
 
@@ -162,18 +179,27 @@ def _assemble(
     """Build a feasible SuiteSolution, or None when the cross-placement
     stage-plan constraint rejects the combination."""
     plan = None
-    warnings: list[str] = []
     if body and distal:
         plan = _suite_stage_plan(body, distal, mission)
-        if plan is None:
+        if not _usable(plan):
             return None
-        if not (plan.valid or plan.marginal):
-            return None
-        if plan.marginal:
-            warnings.append(
-                f"stage plan leaves a {plan.blind_band:.2f} m blind band below "
-                f"the {plan.near_field_max:.2f} m near-field boundary"
-            )
+    return _solution(body, distal, body_slot, distal_slot, plan)
+
+
+def _solution(
+    body: tuple[SensorRecord, ...],
+    distal: tuple[SensorRecord, ...],
+    body_slot: _Slot | None,
+    distal_slot: _Slot | None,
+    plan: StagePlan | None,
+) -> SuiteSolution:
+    """The SuiteSolution of a combination whose stage plan (if any) is usable."""
+    warnings: list[str] = []
+    if plan is not None and plan.marginal:
+        warnings.append(
+            f"stage plan leaves a {plan.blind_band:.2f} m blind band below "
+            f"the {plan.near_field_max:.2f} m near-field boundary"
+        )
     score = 0
     if body_slot is not None:
         score += sum(body_slot.score(s.id) for s in body)
@@ -300,62 +326,139 @@ def _diagnose(body_slot: _Slot | None, distal_slot: _Slot | None) -> list[str]:
     return reasons
 
 
+def _ranked_subsets(slot: _Slot | None) -> Iterator[tuple[int, tuple[SensorRecord, ...]]]:
+    """Admissible subsets of a slot with their scores, drawn lazily in
+    non-increasing score order.
+
+    A subset of size k is a set of positions in the score-sorted eligible
+    list.  Each one but the top (positions 0..k-1) has a single parent:
+    itself with its rightmost position that can move one place left so
+    moved.  A child never outscores its parent, so one heap seeded with the
+    top subset of every size 1..max_sensors pops every subset, each once,
+    in score order (a k-best ranking in the manner of Lawler, 1972).
+    ``_subset_ok`` is checked as each subset is popped; a rejected subset
+    still expands, since a lighter child may pass.  Subsets are tuples in
+    ``slot.eligible`` order.  A missing slot yields the empty subset once.
+    """
+    if slot is None:
+        yield 0, ()
+        return
+    scores = [slot.score(s.id) for s in slot.eligible]
+    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+    gain = [scores[i] for i in order]
+    n = len(order)
+    heap = [(-sum(gain[:k]), tuple(range(k))) for k in range(1, min(slot.rule.max_sensors, n) + 1)]
+    heapq.heapify(heap)
+    while heap:
+        neg, pos = heapq.heappop(heap)
+        subset = tuple(slot.eligible[i] for i in sorted(order[p] for p in pos))
+        if _subset_ok(slot, subset):
+            yield -neg, subset
+        # children: the last position moved right, and the position just
+        # before the trailing run moved right when that closes the run up
+        last = pos[-1]
+        if last + 1 < n:
+            heapq.heappush(heap, (neg + gain[last] - gain[last + 1], pos[:-1] + (last + 1,)))
+        t = len(pos) - 1
+        while t > 0 and pos[t - 1] == pos[t] - 1:
+            t -= 1
+        if t > 0 and pos[t - 1] == pos[t] - 2:
+            p = pos[t - 1]
+            heapq.heappush(heap, (neg + gain[p] - gain[p + 1], pos[: t - 1] + (p + 1,) + pos[t:]))
+
+
+def _usable_plans(
+    far: SensorRecord, tip_anchors: list[SensorRecord], boom_length: float
+) -> dict[str, StagePlan]:
+    """Usable stage plans from one body anchor, keyed by tip anchor id."""
+    plans = {}
+    for near in tip_anchors:
+        plan = stage_plan(far, near, boom_length)
+        if _usable(plan):
+            plans[near.id] = plan
+    return plans
+
+
+def _rank_key(slot: _Slot | None, subset: tuple[SensorRecord, ...]) -> tuple:
+    score = sum(slot.score(s.id) for s in subset) if slot is not None else 0
+    return (
+        -score,
+        sum(s.price for s in subset),
+        sum(s.mass_kg for s in subset),
+        tuple(sorted(s.id for s in subset)),
+    )
+
+
 def select_best(
     catalog: Catalog, rules: list[PlacementRule], mission: MissionConfig
 ) -> SuiteSolution:
     """Best feasible suite by aggregate score, with documented tie-break.
 
-    Independent of enumerate_suites: ranks admissible subsets per
-    placement and walks combinations best-first, pruning any branch whose
-    score bound falls below the incumbent.  Raises NoFeasibleSuiteError
-    (listing binding constraints) when nothing qualifies.
+    Independent of enumerate_suites.  Body subsets are drawn lazily in
+    non-increasing score order; for each, the tip subsets are walked in
+    the same order (the tip stream's drawn prefix is kept, so later walks
+    reread it) until the pair's score bound falls below the incumbent.
+    Whether a pair's stage plan is usable depends only on the two anchors
+    (the longest-range sensor of each placement), so every distinct body
+    anchor gets one table of usable plans by tip anchor, built on first
+    use, and a body subset whose anchor pairs with no tip anchor is
+    skipped without a walk.  The finalists are every feasible suite at the
+    top score.  Raises NoFeasibleSuiteError (listing binding constraints)
+    when nothing qualifies.
     """
     body_slot, distal_slot = _slots_by_placement(catalog, rules)
+    tip_stream = (
+        (score, subset, _anchor(subset)) for score, subset in _ranked_subsets(distal_slot)
+    )
+    drawn: list[tuple[int, tuple[SensorRecord, ...], SensorRecord | None]] = []
 
-    def ranked(slot: _Slot | None) -> list[tuple[SensorRecord, ...]]:
-        if slot is None:
-            return [()]
-        subsets = _slot_subsets(slot)
-        subsets.sort(
-            key=lambda combo: (
-                -sum(slot.score(s.id) for s in combo),
-                sum(s.price for s in combo),
-                sum(s.mass_kg for s in combo),
-                tuple(sorted(s.id for s in combo)),
-            )
-        )
-        return subsets
+    def tips() -> Iterator[tuple[int, tuple[SensorRecord, ...], SensorRecord | None]]:
+        yield from drawn
+        for tip in tip_stream:
+            drawn.append(tip)
+            yield tip
 
-    body_ranked = ranked(body_slot)
-    distal_ranked = ranked(distal_slot)
-    if not body_ranked or not distal_ranked:
+    top = next(tips(), None)
+    if top is None:
         raise NoFeasibleSuiteError(_diagnose(body_slot, distal_slot))
+    top_distal = top[0]
 
-    def subset_score(slot: _Slot | None, combo: tuple[SensorRecord, ...]) -> int:
-        return sum(slot.score(s.id) for s in combo) if slot is not None else 0
-
+    paired = body_slot is not None and distal_slot is not None
+    tip_anchors = [s for s in distal_slot.eligible if _ranged(s)] if paired else []
+    tables: dict[str, dict[str, StagePlan]] = {}
     best_score: int | None = None
-    finalists: list[SuiteSolution] = []
-    top_distal = subset_score(distal_slot, distal_ranked[0])
-    for body in body_ranked:
-        body_score = subset_score(body_slot, body)
+    found: list[tuple[tuple[SensorRecord, ...], tuple[SensorRecord, ...], StagePlan | None]] = []
+    for body_score, body in _ranked_subsets(body_slot):
         if best_score is not None and body_score + top_distal < best_score:
             break  # every later body subset is bounded lower still
-        for distal in distal_ranked:
-            bound = body_score + subset_score(distal_slot, distal)
-            if best_score is not None and bound < best_score:
-                break
-            suite = _assemble(body, distal, body_slot, distal_slot, mission)
-            if suite is None:
+        if paired:
+            far = _anchor(body)
+            if far is None:
                 continue
-            if best_score is None or suite.aggregate_score > best_score:
-                best_score = suite.aggregate_score
-                finalists = [suite]
-            elif suite.aggregate_score == best_score:
-                finalists.append(suite)
-    if not finalists:
+            if far.id not in tables:
+                tables[far.id] = _usable_plans(far, tip_anchors, mission.boom_length)
+            plans = tables[far.id]
+            if not plans:
+                continue
+        for distal_score, distal, near in tips():
+            score = body_score + distal_score
+            if best_score is not None and score < best_score:
+                break
+            plan = None
+            if paired:
+                plan = plans.get(near.id) if near is not None else None
+                if plan is None:
+                    continue
+            if best_score is None or score > best_score:
+                best_score, found = score, []
+            found.append((body, distal, plan))
+    if not found:
         raise NoFeasibleSuiteError(_diagnose(body_slot, distal_slot))
 
+    # Equal tie keys (the same sensors split another way between the
+    # placements) keep the (body, distal) rank order of the walk.
+    found.sort(key=lambda f: (_rank_key(body_slot, f[0]), _rank_key(distal_slot, f[1])))
+    finalists = [_solution(body, distal, body_slot, distal_slot, plan) for body, distal, plan in found]
     finalists.sort(key=_tie_key)
     winner = finalists[0]
     notes: list[str] = []
@@ -372,18 +475,7 @@ def select_best(
         notes.append(
             f"tie at score {winner.aggregate_score} among [{rivals}]; broken by {level}"
         )
-    return SuiteSolution(
-        body_sensors=winner.body_sensors,
-        distal_sensors=winner.distal_sensors,
-        body_mass=winner.body_mass,
-        distal_mass=winner.distal_mass,
-        total_price=winner.total_price,
-        aggregate_score=winner.aggregate_score,
-        stage_plan=winner.stage_plan,
-        feasible=True,
-        warnings=winner.warnings,
-        notes=tuple(notes),
-    )
+    return replace(winner, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -412,14 +504,7 @@ def sensitivity_report(
         if weight < 0:
             raise ValueError("criterion weights must be non-negative integers")
         adjusted = [
-            PlacementRule(
-                placement=r.placement,
-                mass_budget=r.mass_budget,
-                profile=r.profile.with_weight(criterion, weight),
-                max_sensors=r.max_sensors,
-                modalities=r.modalities,
-                min_dust_robust_modalities=r.min_dust_robust_modalities,
-            )
+            replace(r, profile=r.profile.with_weight(criterion, weight))
             for r in rules
         ]
         suite = select_best(catalog, adjusted, mission)

@@ -1,10 +1,15 @@
 """Catalog/mission loading, validation, and round-trip serialization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import boomsuite
 from boomsuite.catalog import (
     Catalog,
     Modality,
@@ -18,6 +23,8 @@ from boomsuite.catalog import (
     save_catalog,
 )
 from boomsuite.errors import ConfigError, ValidationError
+from boomsuite.mounts import load_mounts
+from boomsuite.scoring import load_profile
 
 EXPECTED_IDS = (
     "rsbpearl",
@@ -164,6 +171,35 @@ def test_unparseable_file_is_config_error(tmp_path):
     path.write_text("sensors: [unclosed", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [
+        load_catalog,
+        load_mission,
+        load_profile,
+        lambda path: load_mounts(path, load_catalog(bundled_path("paper_catalog.yaml"))),
+    ],
+    ids=["catalog", "mission", "profile", "mounts"],
+)
+def test_every_loader_words_file_errors_alike(tmp_path, loader):
+    missing = tmp_path / "nope.yaml"
+    with pytest.raises(ConfigError) as exc:
+        loader(missing)
+    assert str(exc.value) == f"file not found: {missing}"
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("sensors: [unclosed", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        loader(bad)
+    assert str(exc.value).startswith(f"cannot parse {bad}: ")
+
+
+def test_importing_the_package_does_not_load_pyyaml():
+    src = Path(boomsuite.__file__).resolve().parent.parent
+    code = "import sys, boomsuite, boomsuite.cli; sys.exit('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,31 @@
 """Suite selection: reproductions, oracle equivalence, and invariants."""
 
+import dataclasses
 import random
 
 import pytest
 
+from boomsuite import selector
 from boomsuite.budget import budget_report
-from boomsuite.catalog import Modality
+from boomsuite.catalog import Catalog, MissionConfig, Modality, SensorRecord
 from boomsuite.errors import EnumerationGuardError, NoFeasibleSuiteError
-from boomsuite.scoring import CriterionName, Stage, gate_requirements, score_matrix
+from boomsuite.scoring import (
+    BinRule,
+    Criterion,
+    CriterionKind,
+    CriterionName,
+    ScoringProfile,
+    Stage,
+    gate_requirements,
+    score_matrix,
+)
 from boomsuite.selector import (
     Placement,
     PlacementRule,
+    _build_slot,
+    _ranked_subsets,
+    _slot_subsets,
+    _tie_key,
     enumerate_suites,
     select_best,
     sensitivity_report,
@@ -307,3 +322,136 @@ def test_enumeration_is_deterministic(catalog, mission, far_profile, near_profil
     assert [(s.body_sensors, s.distal_sensors) for s in first] == [
         (s.body_sensors, s.distal_sensors) for s in second
     ]
+
+
+# ---------------------------------------------------------------------------
+# lazy best-first search: draw order and work done
+
+
+def test_ranked_subsets_draw_every_admissible_subset_once_in_score_order():
+    rng = random.Random(31)
+    for _ in range(40):
+        cat = random_catalog(rng, rng.randint(1, 9))
+        rule = PlacementRule(
+            placement=Placement.BODY,
+            mass_budget=rng.uniform(0.05, 2.5),
+            profile=random_profile(rng, cat, Stage.FAR_FIELD),
+            max_sensors=rng.randint(1, 4),
+            min_dust_robust_modalities=rng.choice([0, 0, 2]),
+        )
+        slot = _build_slot(cat, rule)
+        drawn = list(_ranked_subsets(slot))
+        ids = [tuple(s.id for s in subset) for _, subset in drawn]
+        assert len(ids) == len(set(ids))
+        assert set(ids) == {tuple(s.id for s in subset) for subset in _slot_subsets(slot)}
+        scores = [score for score, _ in drawn]
+        assert scores == sorted(scores, reverse=True)
+        assert scores == [sum(slot.score(s.id) for s in subset) for _, subset in drawn]
+
+
+def _counting_stage_plan(monkeypatch):
+    """Record every (far id, near id) pair select_best plans."""
+    pairs = []
+
+    def counted(far, near, boom_length_m):
+        pairs.append((far.id, near.id))
+        return original(far, near, boom_length_m)
+
+    original = selector.stage_plan
+    monkeypatch.setattr(selector, "stage_plan", counted)
+    return pairs
+
+
+def _ranged_eligible(catalog, rule):
+    pool = catalog if rule.modalities is None else catalog.subset(modalities=rule.modalities)
+    matrix = gate_requirements(score_matrix(pool, rule.profile), rule.profile)
+    return [
+        s for s in pool
+        if matrix.eligibility[s.id].eligible and s.range_min is not None and s.range_max is not None
+    ]
+
+
+def _scored_profile(stage, scores):
+    """Weights 4/2/1 on three criteria, so each sensor's weighted sum is
+    the 0..7 score given for it."""
+    weighted = (CriterionName.RESOLUTION, CriterionName.ACCURACY, CriterionName.FOV)
+    criteria = tuple(
+        Criterion(
+            name=name,
+            kind=CriterionKind.OBJECTIVE,
+            weight={weighted[0]: 4, weighted[1]: 2, weighted[2]: 1}.get(name, 0),
+            bins=BinRule(quantity="mass_g", higher_is_better=False),
+        )
+        for name in CriterionName
+    )
+    overrides = {
+        sid: {
+            name: (score >> (2 - weighted.index(name))) & 1 if name in weighted else 0
+            for name in CriterionName
+        }
+        for sid, score in scores.items()
+    }
+    return ScoringProfile(stage=stage, criteria=criteria, overrides=overrides)
+
+
+def test_dead_body_anchors_are_skipped_without_a_tip_walk(monkeypatch):
+    # Boom 9 m: a far-field anchor must reach 9 m.  The short-range lidars
+    # score highest but cannot, so every body subset they anchor is dead;
+    # the best live body pairs one of them with a long-range radar.
+    def sensor(sid, modality, rmin, rmax, mass):
+        return SensorRecord(id=sid, name=sid, modality=modality, mass=mass, price=100.0,
+                            range_min=rmin, range_max=rmax)
+
+    body = [sensor(f"short{i}", Modality.LIDAR, 0.5, 6.0 + i / 2, 100.0) for i in range(4)]
+    body += [sensor(f"long{i}", Modality.RADAR, 1.0, 40.0 + i, 100.0 + i) for i in range(2)]
+    tips = [sensor(f"cam{i}", Modality.CAMERA3D, 0.2, 4.0 + i / 10, 50.0 + i) for i in range(6)]
+    catalog = Catalog(tuple(body + tips))
+    scores = {"short0": 7, "short1": 7, "short2": 6, "short3": 6, "long0": 2, "long1": 1}
+    scores.update({f"cam{i}": 6 - i for i in range(6)})
+    mission = MissionConfig(
+        boom_length=9.0, boom_count=8, boom_linear_density=77.5, gravity=3.71,
+        gripper_mass=0.25, gripper_pulloff=25.0, critical_buckling_moment=60.0,
+        buckling_margin=0.2, overall_mass_budget=30.0, instrument_mass=8.0,
+        body_sensor_fraction=0.25, tube_depth=30.0, tube_width=30.0,
+    )
+    rules = [
+        PlacementRule(Placement.BODY, 5.0, _scored_profile(Stage.FAR_FIELD, scores),
+                      max_sensors=2, modalities=(Modality.LIDAR, Modality.RADAR)),
+        PlacementRule(Placement.DISTAL, 5.0, _scored_profile(Stage.NEAR_FIELD, scores),
+                      max_sensors=2, modalities=(Modality.CAMERA3D,)),
+    ]
+    suites = enumerate_suites(catalog, rules, mission)
+    top = max(s.aggregate_score for s in suites)
+    expected = min((s for s in suites if s.aggregate_score == top), key=_tie_key)
+
+    pairs = _counting_stage_plan(monkeypatch)
+    best = select_best(catalog, rules, mission)
+    assert dataclasses.replace(best, notes=()) == expected
+    assert best.body_sensors == ("short0", "long0")
+    # one plan per (body anchor, tip anchor): the six dead two-lidar
+    # subsets would otherwise each walk all 21 tip subsets
+    far_anchors = {far for far, _ in pairs}
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= len(far_anchors) * len(_ranged_eligible(catalog, rules[1]))
+    assert far_anchors == {"short1", "short2", "short3", "long0"}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_five_sensors_per_slot_on_120_sensors_plans_each_anchor_pair_once(monkeypatch, seed):
+    # about 1.9e8 subsets per slot: finishing at all needs the lazy draw
+    rng = random.Random(seed)
+    cat = random_catalog(rng, 120)
+    far = random_profile(rng, cat, Stage.FAR_FIELD)
+    near = random_profile(rng, cat, Stage.NEAR_FIELD)
+    mission = random_mission(rng)
+    rules = [
+        PlacementRule(Placement.BODY, 10.0, far, max_sensors=5),
+        PlacementRule(Placement.DISTAL, 10.0, near, max_sensors=5),
+    ]
+    pairs = _counting_stage_plan(monkeypatch)
+    best = select_best(cat, rules, mission)
+    assert len(best.body_sensors) == len(best.distal_sensors) == 5
+    _feasibility_invariants(best, rules, cat)
+    far_anchors = {far_id for far_id, _ in pairs}
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= len(far_anchors) * len(_ranged_eligible(cat, rules[1]))
