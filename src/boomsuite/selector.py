@@ -332,10 +332,11 @@ def _ranked_subsets(slot: _Slot | None) -> Iterator[tuple[int, tuple[SensorRecor
 
     A subset of size k is a set of positions in the score-sorted eligible
     list.  Each one but the top (positions 0..k-1) has a single parent:
-    itself with its rightmost position that can move one place left so
-    moved.  A child never outscores its parent, so one heap seeded with the
-    top subset of every size 1..max_sensors pops every subset, each once,
-    in score order (a k-best ranking in the manner of Lawler, 1972).
+    the subset got by moving its rightmost position that has a free place
+    to its left one place left.  A child never outscores its parent, so
+    one heap seeded with the top subset of every size 1..max_sensors pops
+    every subset, each once, in score order (a k-best ranking in the
+    manner of Lawler, 1972).
     ``_subset_ok`` is checked as each subset is popped; a rejected subset
     still expands, since a lighter child may pass.  Subsets are tuples in
     ``slot.eligible`` order.  A missing slot yields the empty subset once.

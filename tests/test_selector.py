@@ -352,12 +352,12 @@ def test_ranked_subsets_draw_every_admissible_subset_once_in_score_order():
 def _counting_stage_plan(monkeypatch):
     """Record every (far id, near id) pair select_best plans."""
     pairs = []
+    original = selector.stage_plan
 
     def counted(far, near, boom_length_m):
         pairs.append((far.id, near.id))
         return original(far, near, boom_length_m)
 
-    original = selector.stage_plan
     monkeypatch.setattr(selector, "stage_plan", counted)
     return pairs
 
