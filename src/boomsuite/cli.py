@@ -8,6 +8,7 @@ analysis ran but the result is infeasible, 2 input or validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -71,6 +72,27 @@ def _resolve_profile_path(value: str) -> Path:
     if value in _PROFILE_SHORTHANDS:
         return bundled_path(_PROFILE_SHORTHANDS[value])
     return Path(value)
+
+
+def _profile(value: str, loaded: dict[Path, ScoringProfile]) -> ScoringProfile:
+    """The profile a path or shorthand names, parsed at most once per
+    ``loaded`` table."""
+    path = _resolve_profile_path(value)
+    if path not in loaded:
+        loaded[path] = load_profile(path)
+    return loaded[path]
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for physical quantities: a finite float, so that a
+    NaN budget cannot switch off every comparison made against it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -238,18 +260,18 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _select_profiles(args: argparse.Namespace) -> tuple[ScoringProfile, ScoringProfile]:
-    far_arg = args.far_profile or "far_field"
-    near_arg = args.near_profile or "near_field"
+def _select_profiles(
+    args: argparse.Namespace, loaded: dict[Path, ScoringProfile]
+) -> tuple[ScoringProfile, ScoringProfile]:
     return (
-        load_profile(_resolve_profile_path(far_arg)),
-        load_profile(_resolve_profile_path(near_arg)),
+        _profile(args.far_profile or "far_field", loaded),
+        _profile(args.near_profile or "near_field", loaded),
     )
 
 
 def cmd_select(args: argparse.Namespace) -> int:
     catalog, mission = _load_inputs(args)
-    far_profile, near_profile = _select_profiles(args)
+    far_profile, near_profile = _select_profiles(args, {})
     rules = _default_rules(mission, far_profile, near_profile, args)
 
     if args.sweep is not None:
@@ -258,7 +280,10 @@ def cmd_select(args: argparse.Namespace) -> int:
             criterion = CriterionName(crit_name)
         except ValueError:
             raise TradeStudyError(f"unknown criterion {crit_name!r}") from None
-        weights = list(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise TradeStudyError(f"--sweep MIN {lo} is greater than MAX {hi}")
+        weights = list(range(lo, hi + 1))
         rows = sensitivity_report(catalog, rules, mission, criterion, weights)
         _emit(
             sensitivity_table(
@@ -289,6 +314,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     catalog, mission = _load_inputs(args)
     sections: list[str] = []
     worst = EXIT_OK
+    # The bundled far- and near-field profiles feed both the matrices and,
+    # unless --far-profile/--near-profile name other files, the selection.
+    profiles: dict[Path, ScoringProfile] = {}
 
     modality_profile = load_profile(_resolve_profile_path("modality"))
     table = modality_table(catalog, modality_profile)
@@ -299,7 +327,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     for shorthand, label in (("far_field", "Far-Field Matrix"), ("near_field", "Near-Field Matrix")):
-        profile = load_profile(_resolve_profile_path(shorthand))
+        profile = _profile(shorthand, profiles)
         pool = catalog.subset(modalities=profile.modalities) if profile.modalities else catalog
         matrix = gate_requirements(score_matrix(pool, profile), profile)
         sections.append(decision_matrix_table(matrix, pool, args.format, title=label))
@@ -316,7 +344,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not coverage.all_visible:
         worst = EXIT_INFEASIBLE
 
-    far_profile, near_profile = _select_profiles(args)
+    far_profile, near_profile = _select_profiles(args, profiles)
     rules = _default_rules(mission, far_profile, near_profile, args)
     try:
         suite = select_best(catalog, rules, mission)
@@ -351,22 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget = sub.add_parser("budget", help="mass and buckling budget report")
     _add_common(p_budget)
     p_budget.add_argument("--mounts", help="mount specification file")
-    p_budget.add_argument("--body-mass", type=float, help="body sensor mass to check, kg")
-    p_budget.add_argument("--distal-mass", type=float, help="boom-tip sensor mass to check, kg")
+    p_budget.add_argument("--body-mass", type=_finite_float, help="body sensor mass to check, kg")
+    p_budget.add_argument("--distal-mass", type=_finite_float, help="boom-tip sensor mass to check, kg")
     p_budget.set_defaults(func=cmd_budget)
 
     p_cov = sub.add_parser("coverage", help="cross-section coverage and stage plan")
     _add_common(p_cov)
     p_cov.add_argument("--mounts", help="mount specification file")
-    p_cov.add_argument("--tube-depth", type=float, help="override analysis tube depth, m")
-    p_cov.add_argument("--tube-width", type=float, help="override analysis tube width, m")
+    p_cov.add_argument("--tube-depth", type=_finite_float, help="override analysis tube depth, m")
+    p_cov.add_argument("--tube-width", type=_finite_float, help="override analysis tube width, m")
     p_cov.set_defaults(func=cmd_coverage)
 
     def add_select_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--far-profile", help="body placement profile (default: bundled far_field)")
         p.add_argument("--near-profile", help="boom-tip placement profile (default: bundled near_field)")
-        p.add_argument("--body-budget", type=float, help="override body mass budget, kg")
-        p.add_argument("--distal-budget", type=float, help="override boom-tip mass budget, kg")
+        p.add_argument("--body-budget", type=_finite_float, help="override body mass budget, kg")
+        p.add_argument("--distal-budget", type=_finite_float, help="override boom-tip mass budget, kg")
         p.add_argument("--body-max", type=int, default=1, help="max sensors on the body")
         p.add_argument("--distal-max", type=int, default=1, help="max sensors at the boom tip")
         p.add_argument(

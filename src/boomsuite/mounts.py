@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .catalog import Catalog, SensorRecord, _read_yaml
+from .catalog import Catalog, SensorRecord, _list, _mapping, _number, _read_yaml, _require
 from .errors import ValidationError
 from .geometry import Mount, TubeSection
 
@@ -35,9 +35,7 @@ class MountSpec:
 
 def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
     """Load a mount specification, resolving sensor ids against a catalog."""
-    doc = _read_yaml(path)
-    if not isinstance(doc, Mapping):
-        raise ValidationError("mounts", "file", "expected a mapping")
+    doc = _mapping(_read_yaml(path), "mounts", "file")
 
     def sensor(sensor_id: Any) -> SensorRecord:
         sid = str(sensor_id)
@@ -46,30 +44,37 @@ def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
         return catalog.get(sid)
 
     mounts = []
-    for raw in doc.get("body_mounts") or []:
+    for raw in _list(doc.get("body_mounts"), "mounts", "body_mounts"):
         if not isinstance(raw, Mapping) or "sensor" not in raw:
             raise ValidationError("mounts", "body_mounts", "each entry needs a sensor id")
         mounts.append(
             Mount(
                 sensor=sensor(raw["sensor"]),
-                tilt_deg=float(raw.get("tilt_deg", 0.0)),
+                tilt_deg=_number(raw.get("tilt_deg", 0.0), "mounts", "body_mounts.tilt_deg"),
                 spinning=bool(raw.get("spinning", False)),
             )
         )
 
     tube = None
     if doc.get("analysis_tube") is not None:
-        raw_tube = doc["analysis_tube"]
+        raw_tube = _mapping(doc["analysis_tube"], "mounts", "analysis_tube")
+        subject = "mounts.analysis_tube"
+
+        def length(key: str) -> float:
+            return _number(_require(raw_tube, key, subject), subject, key)
+
         tube = TubeSection(
-            depth=float(raw_tube["depth"]),
-            width=float(raw_tube["width"]),
-            body_height=None if raw_tube.get("body_height") is None else float(raw_tube["body_height"]),
-            body_offset=float(raw_tube.get("body_offset", 0.0)),
+            depth=length("depth"),
+            width=length("width"),
+            body_height=None if raw_tube.get("body_height") is None else length("body_height"),
+            body_offset=0.0 if raw_tube.get("body_offset") is None else length("body_offset"),
         )
 
     return MountSpec(
         body_mounts=tuple(mounts),
-        body_axial=tuple(sensor(s) for s in doc.get("body_axial_sensors") or []),
-        distal=tuple(sensor(s) for s in doc.get("distal_sensors") or []),
+        body_axial=tuple(
+            sensor(s) for s in _list(doc.get("body_axial_sensors"), "mounts", "body_axial_sensors")
+        ),
+        distal=tuple(sensor(s) for s in _list(doc.get("distal_sensors"), "mounts", "distal_sensors")),
         analysis_tube=tube,
     )

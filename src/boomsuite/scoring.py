@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .catalog import Catalog, Modality, Ordinal, PixelGrid, SensorRecord, _read_yaml
+from .catalog import Catalog, Modality, Ordinal, PixelGrid, SensorRecord, _list, _mapping, _number, _read_yaml
 from .errors import ScoringError, ValidationError
 
 __all__ = [
@@ -343,8 +343,7 @@ def modality_table(
 
 
 def _parse_bin(raw: Any, subject: str) -> BinRule:
-    if not isinstance(raw, Mapping):
-        raise ValidationError(subject, "bin", "expected a mapping")
+    raw = _mapping(raw, subject, "bin")
     if "ordinal_field" in raw:
         return BinRule(ordinal_field=str(raw["ordinal_field"]))
     kwargs: dict[str, Any] = {"quantity": str(raw.get("quantity", ""))}
@@ -352,7 +351,7 @@ def _parse_bin(raw: Any, subject: str) -> BinRule:
         kwargs["higher_is_better"] = bool(raw["higher_is_better"])
     for key in ("high", "low"):
         if raw.get(key) is not None:
-            kwargs[key] = float(raw[key])
+            kwargs[key] = _number(raw[key], subject, f"bin.{key}")
     for key in ("high_inclusive", "low_inclusive"):
         if key in raw:
             kwargs[key] = bool(raw[key])
@@ -361,9 +360,7 @@ def _parse_bin(raw: Any, subject: str) -> BinRule:
 
 def load_profile(path: str | Path) -> ScoringProfile:
     """Load a scoring profile file (criteria, weights, bins, overrides)."""
-    doc = _read_yaml(path)
-    if not isinstance(doc, Mapping):
-        raise ValidationError("profile", "file", "expected a mapping")
+    doc = _mapping(_read_yaml(path), "profile", "file")
 
     try:
         stage = Stage(str(doc.get("stage")))
@@ -376,6 +373,7 @@ def load_profile(path: str | Path) -> ScoringProfile:
         raise ValidationError(stage.value, "criteria", "expected a list")
     criteria = []
     for raw in raw_criteria:
+        raw = _mapping(raw, stage.value, "criteria")
         try:
             name = CriterionName(str(raw.get("name")))
         except ValueError:
@@ -391,7 +389,7 @@ def load_profile(path: str | Path) -> ScoringProfile:
         criteria.append(Criterion(name=name, kind=kind, weight=weight, bins=_parse_bin(raw.get("bin"), name.value)))
 
     overrides: dict[str, dict[CriterionName, int]] = {}
-    for sensor_id, cells in (doc.get("overrides") or {}).items():
+    for sensor_id, cells in _mapping(doc.get("overrides") or {}, stage.value, "overrides").items():
         if not isinstance(cells, Mapping):
             raise ValidationError(str(sensor_id), "overrides", "expected criterion->score mapping")
         parsed: dict[CriterionName, int] = {}
@@ -407,10 +405,10 @@ def load_profile(path: str | Path) -> ScoringProfile:
 
     modalities = None
     if doc.get("modalities") is not None:
-        modalities = tuple(Modality(str(m)) for m in doc["modalities"])
+        modalities = tuple(Modality(str(m)) for m in _list(doc["modalities"], stage.value, "modalities"))
 
     exemplars: dict[Modality, str] = {}
-    for mod_name, sensor_id in (doc.get("exemplars") or {}).items():
+    for mod_name, sensor_id in _mapping(doc.get("exemplars") or {}, stage.value, "exemplars").items():
         exemplars[Modality(str(mod_name))] = str(sensor_id)
 
     return ScoringProfile(

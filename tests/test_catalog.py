@@ -145,6 +145,9 @@ def test_range_ordering_rejected(tmp_path):
             "resolution",
         ),
         ({"accuracy": {}}, "accuracy"),
+        ({"resolution": {"pixels": 5}}, "resolution.pixels"),
+        ({"resolution": {"pixels": {"width": 10.5, "height": 10}}}, "resolution.pixels.width"),
+        ({"aliases": "abc"}, "aliases"),
     ],
 )
 def test_malformed_sensor_names_field(tmp_path, mutation, field):
@@ -183,16 +186,46 @@ def test_unparseable_file_is_config_error(tmp_path):
     ],
     ids=["catalog", "mission", "profile", "mounts"],
 )
-def test_every_loader_words_file_errors_alike(tmp_path, loader):
+def test_every_loader_words_file_errors_alike(tmp_path, monkeypatch, loader):
     missing = tmp_path / "nope.yaml"
-    with pytest.raises(ConfigError) as exc:
-        loader(missing)
-    assert str(exc.value) == f"file not found: {missing}"
     bad = tmp_path / "bad.yaml"
     bad.write_text("sensors: [unclosed", encoding="utf-8")
-    with pytest.raises(ConfigError) as exc:
-        loader(bad)
-    assert str(exc.value).startswith(f"cannot parse {bad}: ")
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes("sensors: [caf\u00e9]".encode("latin-1"))
+    # with libyaml's CSafeLoader (when PyYAML has it), then without it
+    for _ in range(2):
+        with pytest.raises(ConfigError) as exc:
+            loader(missing)
+        assert str(exc.value) == f"file not found: {missing}"
+        for path, problem in ((bad, "cannot parse"), (latin, "cannot parse"), (tmp_path, "cannot read")):
+            with pytest.raises(ConfigError) as exc:
+                loader(path)
+            assert str(exc.value).startswith(f"{problem} {path}: ")
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in bundled_path("paper_catalog.yaml").parent.iterdir()),
+)
+def test_bundled_fixtures_parse_alike_under_both_loaders(name):
+    text = bundled_path(name).read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml")
+def test_reader_parses_with_libyaml_when_present(monkeypatch):
+    loaders = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    load_mission(bundled_path("paper_mission.yaml"))
+    assert loaders == [yaml.CSafeLoader]
 
 
 def test_importing_the_package_does_not_load_pyyaml():
@@ -212,6 +245,7 @@ def test_importing_the_package_does_not_load_pyyaml():
         ({"body_sensor_fraction": 1.0}, "body_sensor_fraction"),
         ({"gravity": None}, "gravity"),
         ({"tube_width": "wide"}, "tube_width"),
+        ({"boom_count": 2.7}, "boom_count"),
     ],
 )
 def test_malformed_mission_names_field(tmp_path, mutation, field):

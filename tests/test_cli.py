@@ -1,9 +1,16 @@
 """CLI behavior: reproductions, formats, determinism, exit codes."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
+import boomsuite
+from boomsuite.catalog import bundled_path
 from boomsuite.cli import main
 
 
@@ -166,3 +173,155 @@ def test_unknown_sweep_criterion_exits_two(capsys):
     code, _, err = run(capsys, "select", "--preset", "paper", "--sweep", "beauty", "0", "2")
     assert code == 2
     assert "beauty" in err
+
+
+def test_report_parses_each_file_once(capsys, monkeypatch, tmp_path):
+    parsed = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        parsed.append(Path(stream.name).name)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    code, _, _ = run(capsys, "report", "--preset", "paper")
+    assert code == 0
+    assert sorted(parsed) == sorted(p.name for p in bundled_path("paper_catalog.yaml").parent.iterdir())
+
+    # a --near-profile naming another file is parsed for the selection
+    near = tmp_path / "near.profile"
+    near.write_text(bundled_path("near_field.profile").read_text(encoding="utf-8"), encoding="utf-8")
+    parsed.clear()
+    code, _, _ = run(capsys, "report", "--preset", "paper", "--near-profile", str(near))
+    assert code == 0
+    assert len(parsed) == 7 and parsed.count("near.profile") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("budget", "--body-mass"),
+        ("budget", "--distal-mass"),
+        ("coverage", "--tube-depth"),
+        ("coverage", "--tube-width"),
+        ("select", "--body-budget"),
+        ("select", "--distal-budget"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flag_exits_two(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "paper", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+def _mutated(tmp_path, fixture, mutate):
+    """Path of a copy of a bundled fixture with ``mutate`` applied to it."""
+    doc = yaml.safe_load(bundled_path(fixture).read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / fixture
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return str(path)
+
+
+def _set_first_sensor(key, value):
+    return lambda doc: doc["sensors"][0].__setitem__(key, value)
+
+
+# Bad input of each kind: the command must exit 2 with an ``error:`` line
+# naming the flag or the file field, never a traceback or a wrong result.
+DEFECTS = {
+    "nan-distal-budget": (
+        lambda tmp: ["select", "--preset", "paper", "--distal-budget", "nan", "--distal-max", "3"],
+        "argument --distal-budget: must be a finite number",
+    ),
+    "nan-body-mass": (
+        lambda tmp: ["budget", "--preset", "paper", "--body-mass", "nan"],
+        "argument --body-mass: must be a finite number",
+    ),
+    "empty-sweep-range": (
+        lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "4", "0"],
+        "error: --sweep MIN 4 is greater than MAX 0",
+    ),
+    "criterion-entry-is-a-string": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"].__setitem__(0, "resolution")),
+        ],
+        "error: far_field.criteria: expected a mapping",
+    ),
+    "nan-bin-cutoff": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][2]["bin"].__setitem__("high", float("nan"))),
+        ],
+        "error: fov.bin.high: must be finite",
+    ),
+    "profile-overrides-not-a-mapping": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d.__setitem__("overrides", ["vlp16"])),
+        ],
+        "error: far_field.overrides: expected a mapping",
+    ),
+    "profile-modalities-not-a-list": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d.__setitem__("modalities", 5)),
+        ],
+        "error: far_field.modalities: expected a list",
+    ),
+    "mounts-sensors-not-a-list": (
+        lambda tmp: [
+            "coverage", "--preset", "paper", "--mounts",
+            _mutated(tmp, "paper_mounts.yaml", lambda d: d.__setitem__("distal_sensors", 5)),
+        ],
+        "error: mounts.distal_sensors: expected a list",
+    ),
+    "analysis-tube-without-depth": (
+        lambda tmp: [
+            "coverage", "--preset", "paper", "--mounts",
+            _mutated(tmp, "paper_mounts.yaml", lambda d: d["analysis_tube"].pop("depth")),
+        ],
+        "error: mounts.analysis_tube.depth: required field is missing",
+    ),
+    "resolution-pixels-not-a-mapping": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", _set_first_sensor("resolution", {"pixels": 5})),
+        ],
+        "error: rsbpearl.resolution.pixels: expected a mapping",
+    ),
+    "fractional-boom-count": (
+        lambda tmp: [
+            "budget", "--preset", "paper", "--mission",
+            _mutated(tmp, "paper_mission.yaml", lambda d: d.__setitem__("boom_count", 2.7)),
+        ],
+        "error: mission.boom_count: expected an integer",
+    ),
+    "aliases-not-a-list": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", _set_first_sensor("aliases", "abc")),
+        ],
+        "error: rsbpearl.aliases: expected a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFECTS))
+def test_bad_input_exits_two_without_traceback(tmp_path, case):
+    argv, message = DEFECTS[case]
+    src = Path(boomsuite.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "boomsuite.cli", *argv(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert message in result.stderr
+    assert result.stdout == ""

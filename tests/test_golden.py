@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from boomsuite.cli import main
 
@@ -55,6 +56,26 @@ def test_readme_command_output_is_unchanged(argv):
     got = run(argv)
     assert got["code"] == expected["code"]
     assert got["stdout"] == expected["stdout"]
+
+
+def test_readme_outputs_are_unchanged_without_libyaml(monkeypatch):
+    """PyYAML built without libyaml has no CSafeLoader; the reader falls
+    back to the pure-Python SafeLoader and every output stays the same."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    loaders = set()
+    load = yaml.load
+
+    def spy(stream, Loader):
+        loaders.add(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    expected = _expected()
+    for argv in COMMANDS:
+        got = run(argv)
+        want = expected[" ".join(argv)]
+        assert (got["code"], got["stdout"]) == (want["code"], want["stdout"]), argv
+    assert loaders == {yaml.SafeLoader}
 
 
 if __name__ == "__main__":
