@@ -16,6 +16,7 @@ All functions are pure and thread-safe by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .catalog import MissionConfig
@@ -132,6 +133,9 @@ def budget_report(
     body_sensor_mass_kg: float = 0.0,
 ) -> BudgetReport:
     """Compose the full budget envelope and check a loadout against it."""
+    for label, m in (("distal", distal_sensor_mass_kg), ("body", body_sensor_mass_kg)):
+        if not math.isfinite(m):
+            raise ValueError(f"{label} sensor mass must be finite")
     one_boom = boom_mass(mission.boom_length, mission.boom_linear_density)
     total_booms = one_boom * mission.boom_count
     body_budget = body_sensor_budget(

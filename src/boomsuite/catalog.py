@@ -363,6 +363,12 @@ def _number(value: Any, subject: str, field_name: str) -> float:
     return float(value)
 
 
+def _boolean(value: Any, subject: str, field_name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(subject, field_name, f"expected true or false, got {value!r}")
+    return value
+
+
 def _integer(value: Any, subject: str, field_name: str) -> int:
     number = _number(value, subject, field_name)
     if not number.is_integer():

@@ -37,6 +37,8 @@ __all__ = [
     "effective_vertical_fov",
     "section_coverage",
     "stage_plan",
+    "far_anchor_usable",
+    "near_anchor_usable",
     "strategy_recommend",
 ]
 
@@ -374,7 +376,7 @@ def stage_plan(
             raise ValueError(f"{s.id}: stage planning needs range_min and range_max")
     threshold = near_field_threshold(boom_length_m)
     far_start = max(far_sensor.range_min, threshold)
-    far_ok = far_sensor.range_min <= threshold and far_sensor.range_max >= boom_length_m
+    far_ok = far_anchor_usable(far_sensor, boom_length_m)
     near_reaches_in = near_sensor.range_min < threshold
     near_ok = near_reaches_in and near_sensor.range_max >= threshold
     overlap = near_sensor.range_max - far_start
@@ -394,6 +396,25 @@ def stage_plan(
         valid=valid,
         marginal=marginal,
     )
+
+
+def far_anchor_usable(sensor: SensorRecord, boom_length_m: float) -> bool:
+    """Whether a ranged sensor can be the far stage of a plan (``far_ok``):
+    it covers from the near-field boundary out to the full boom length."""
+    return sensor.range_min <= near_field_threshold(boom_length_m) and sensor.range_max >= boom_length_m
+
+
+def near_anchor_usable(sensor: SensorRecord, boom_length_m: float) -> bool:
+    """Whether a ranged sensor can be the near stage of a usable plan.
+
+    Paired with a far sensor that passes ``far_anchor_usable``, the plan
+    is valid or marginal exactly when this holds: the far stage then
+    starts at L/3, so overlap > 0 means near.range_max > L/3 and a blind
+    band means near.range_max < L/3; stopping exactly at L/3 gives
+    neither.  Usability therefore splits into one test per sensor.
+    """
+    threshold = near_field_threshold(boom_length_m)
+    return sensor.range_min < threshold and sensor.range_max != threshold
 
 
 def strategy_recommend(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .catalog import Catalog, SensorRecord, _list, _mapping, _number, _read_yaml, _require
+from .catalog import Catalog, SensorRecord, _boolean, _list, _mapping, _number, _read_yaml, _require
 from .errors import ValidationError
 from .geometry import Mount, TubeSection
 
@@ -51,7 +51,7 @@ def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
             Mount(
                 sensor=sensor(raw["sensor"]),
                 tilt_deg=_number(raw.get("tilt_deg", 0.0), "mounts", "body_mounts.tilt_deg"),
-                spinning=bool(raw.get("spinning", False)),
+                spinning=_boolean(raw.get("spinning", False), "mounts", "body_mounts.spinning"),
             )
         )
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .catalog import Catalog, Modality, Ordinal, PixelGrid, SensorRecord, _list, _mapping, _number, _read_yaml
+from .catalog import (
+    Catalog, Modality, Ordinal, PixelGrid, SensorRecord, _boolean, _list, _mapping, _number, _read_yaml,
+)
 from .errors import ScoringError, ValidationError
 
 __all__ = [
@@ -347,14 +349,12 @@ def _parse_bin(raw: Any, subject: str) -> BinRule:
     if "ordinal_field" in raw:
         return BinRule(ordinal_field=str(raw["ordinal_field"]))
     kwargs: dict[str, Any] = {"quantity": str(raw.get("quantity", ""))}
-    if "higher_is_better" in raw:
-        kwargs["higher_is_better"] = bool(raw["higher_is_better"])
     for key in ("high", "low"):
         if raw.get(key) is not None:
             kwargs[key] = _number(raw[key], subject, f"bin.{key}")
-    for key in ("high_inclusive", "low_inclusive"):
+    for key in ("higher_is_better", "high_inclusive", "low_inclusive"):
         if key in raw:
-            kwargs[key] = bool(raw[key])
+            kwargs[key] = _boolean(raw[key], subject, f"bin.{key}")
     return BinRule(**kwargs)
 
 

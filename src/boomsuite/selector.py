@@ -7,11 +7,11 @@ compatibility.  Two independent routes exist on purpose:
 
 * ``enumerate_suites`` exhaustively materializes every feasible suite
   (flat cross product, guarded against combinatorial blowup), and
-* ``select_best`` runs a lazy best-first search: each placement's
-  admissible subsets are drawn from a heap in non-increasing score order,
-  only as far as the score bound needs, and stage plans are looked up in
-  one table per distinct body anchor (the body's longest-range sensor),
-  so a body whose anchor pairs with no tip anchor is skipped outright.
+* ``select_best`` picks each placement on its own: whether a stage plan
+  is usable splits into one test per anchor (the placement's
+  longest-range sensor), and the score is a sum, so the best suites pair
+  each placement's best usable subsets, drawn lazily from a heap in
+  non-increasing score order.
 
 They must agree; the test suite checks them against each other on
 randomized catalogs.  The final reduction is deterministic: ties break
@@ -23,12 +23,13 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 from .catalog import Catalog, MissionConfig, Modality, SensorRecord
 from .errors import EnumerationGuardError, NoFeasibleSuiteError
-from .geometry import StagePlan, stage_plan
+from .geometry import StagePlan, far_anchor_usable, near_anchor_usable, stage_plan
 from .scoring import CriterionName, DecisionMatrix, ScoringProfile, gate_requirements, score_matrix
 
 __all__ = [
@@ -69,8 +70,8 @@ class PlacementRule:
 
     def __post_init__(self) -> None:
         # zero is degenerate but legal: nothing fits, enumeration is empty
-        if self.mass_budget < 0:
-            raise ValueError("mass budget must be >= 0 kg")
+        if not (math.isfinite(self.mass_budget) and self.mass_budget >= 0):
+            raise ValueError("mass budget must be a finite number >= 0 kg")
         if self.max_sensors < 1:
             raise ValueError("max_sensors must be >= 1")
 
@@ -152,10 +153,6 @@ def _anchor(subset: tuple[SensorRecord, ...]) -> SensorRecord | None:
     return max(ranged, key=lambda s: s.range_max) if ranged else None
 
 
-def _usable(plan: StagePlan | None) -> bool:
-    return plan is not None and (plan.valid or plan.marginal)
-
-
 def _suite_stage_plan(
     body: tuple[SensorRecord, ...],
     distal: tuple[SensorRecord, ...],
@@ -181,7 +178,7 @@ def _assemble(
     plan = None
     if body and distal:
         plan = _suite_stage_plan(body, distal, mission)
-        if not _usable(plan):
+        if plan is None or not (plan.valid or plan.marginal):
             return None
     return _solution(body, distal, body_slot, distal_slot, plan)
 
@@ -251,19 +248,7 @@ def _subset_count(slot: _Slot | None) -> int:
     if slot is None:
         return 1
     n = len(slot.eligible)
-    total = 0
-    for k in range(1, slot.rule.max_sensors + 1):
-        total += _ncr(n, k)
-    return max(total, 1)
-
-
-def _ncr(n: int, k: int) -> int:
-    if k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return max(sum(math.comb(n, k) for k in range(1, slot.rule.max_sensors + 1)), 1)
 
 
 def enumerate_suites(
@@ -368,18 +353,6 @@ def _ranked_subsets(slot: _Slot | None) -> Iterator[tuple[int, tuple[SensorRecor
             heapq.heappush(heap, (neg + gain[p] - gain[p + 1], pos[: t - 1] + (p + 1,) + pos[t:]))
 
 
-def _usable_plans(
-    far: SensorRecord, tip_anchors: list[SensorRecord], boom_length: float
-) -> dict[str, StagePlan]:
-    """Usable stage plans from one body anchor, keyed by tip anchor id."""
-    plans = {}
-    for near in tip_anchors:
-        plan = stage_plan(far, near, boom_length)
-        if _usable(plan):
-            plans[near.id] = plan
-    return plans
-
-
 def _rank_key(slot: _Slot | None, subset: tuple[SensorRecord, ...]) -> tuple:
     score = sum(slot.score(s.id) for s in subset) if slot is not None else 0
     return (
@@ -390,76 +363,61 @@ def _rank_key(slot: _Slot | None, subset: tuple[SensorRecord, ...]) -> tuple:
     )
 
 
+def _top_usable(
+    slot: _Slot | None, check: Callable[[SensorRecord, float], bool] | None, boom_length: float
+) -> list[tuple[SensorRecord, ...]]:
+    """Every admissible subset at the top score among the usable ones, in
+    ``_rank_key`` order (empty when none is usable), drawn only as far as
+    that score.  A subset is usable when its anchor passes ``check``, or
+    always when ``check`` is None."""
+    top_score, top = None, []
+    for score, subset in _ranked_subsets(slot):
+        if top_score is not None and score < top_score:
+            break
+        anchor = _anchor(subset)
+        if check is None or (anchor is not None and check(anchor, boom_length)):
+            top_score = score
+            top.append(subset)
+    return sorted(top, key=lambda subset: _rank_key(slot, subset))
+
+
 def select_best(
     catalog: Catalog, rules: list[PlacementRule], mission: MissionConfig
 ) -> SuiteSolution:
     """Best feasible suite by aggregate score, with documented tie-break.
 
-    Independent of enumerate_suites.  Body subsets are drawn lazily in
-    non-increasing score order; for each, the tip subsets are walked in
-    the same order (the tip stream's drawn prefix is kept, so later walks
-    reread it) until the pair's score bound falls below the incumbent.
-    Whether a pair's stage plan is usable depends only on the two anchors
-    (the longest-range sensor of each placement), so every distinct body
-    anchor gets one table of usable plans by tip anchor, built on first
-    use, and a body subset whose anchor pairs with no tip anchor is
-    skipped without a walk.  The finalists are every feasible suite at the
-    top score.  Raises NoFeasibleSuiteError (listing binding constraints)
+    Independent of enumerate_suites.  A pair's stage plan is usable (valid
+    or marginal) exactly when the body anchor passes ``far_anchor_usable``
+    and the tip anchor passes ``near_anchor_usable``, and the score is the
+    sum of the two placements' scores.  So each placement's subsets are
+    drawn in non-increasing score order until the score falls below its
+    first usable subset, every usable subset at that score is kept, and
+    the finalists are the pairs of the two groups, each distinct anchor
+    pair planned once.  With one placement every admissible subset is
+    usable.  Raises NoFeasibleSuiteError (listing binding constraints)
     when nothing qualifies.
     """
     body_slot, distal_slot = _slots_by_placement(catalog, rules)
-    tip_stream = (
-        (score, subset, _anchor(subset)) for score, subset in _ranked_subsets(distal_slot)
-    )
-    drawn: list[tuple[int, tuple[SensorRecord, ...], SensorRecord | None]] = []
-
-    def tips() -> Iterator[tuple[int, tuple[SensorRecord, ...], SensorRecord | None]]:
-        yield from drawn
-        for tip in tip_stream:
-            drawn.append(tip)
-            yield tip
-
-    top = next(tips(), None)
-    if top is None:
-        raise NoFeasibleSuiteError(_diagnose(body_slot, distal_slot))
-    top_distal = top[0]
-
+    length = mission.boom_length
     paired = body_slot is not None and distal_slot is not None
-    tip_anchors = [s for s in distal_slot.eligible if _ranged(s)] if paired else []
-    tables: dict[str, dict[str, StagePlan]] = {}
-    best_score: int | None = None
-    found: list[tuple[tuple[SensorRecord, ...], tuple[SensorRecord, ...], StagePlan | None]] = []
-    for body_score, body in _ranked_subsets(body_slot):
-        if best_score is not None and body_score + top_distal < best_score:
-            break  # every later body subset is bounded lower still
-        if paired:
-            far = _anchor(body)
-            if far is None:
-                continue
-            if far.id not in tables:
-                tables[far.id] = _usable_plans(far, tip_anchors, mission.boom_length)
-            plans = tables[far.id]
-            if not plans:
-                continue
-        for distal_score, distal, near in tips():
-            score = body_score + distal_score
-            if best_score is not None and score < best_score:
-                break
-            plan = None
-            if paired:
-                plan = plans.get(near.id) if near is not None else None
-                if plan is None:
-                    continue
-            if best_score is None or score > best_score:
-                best_score, found = score, []
-            found.append((body, distal, plan))
-    if not found:
+    bodies = _top_usable(body_slot, far_anchor_usable if paired else None, length)
+    distals = _top_usable(distal_slot, near_anchor_usable if paired else None, length)
+    if not bodies or not distals:
         raise NoFeasibleSuiteError(_diagnose(body_slot, distal_slot))
 
-    # Equal tie keys (the same sensors split another way between the
-    # placements) keep the (body, distal) rank order of the walk.
-    found.sort(key=lambda f: (_rank_key(body_slot, f[0]), _rank_key(distal_slot, f[1])))
-    finalists = [_solution(body, distal, body_slot, distal_slot, plan) for body, distal, plan in found]
+    # Pairs in (body rank, distal rank) order; the _tie_key sort is stable,
+    # so equal tie keys (the same sensors split another way between the
+    # placements) keep that order.
+    plans: dict[tuple[str, str], StagePlan] = {}
+    finalists = []
+    for body, distal in itertools.product(bodies, distals):
+        plan = None
+        if paired:
+            far, near = _anchor(body), _anchor(distal)
+            if (far.id, near.id) not in plans:
+                plans[far.id, near.id] = stage_plan(far, near, length)
+            plan = plans[far.id, near.id]
+        finalists.append(_solution(body, distal, body_slot, distal_slot, plan))
     finalists.sort(key=_tie_key)
     winner = finalists[0]
     notes: list[str] = []

@@ -119,6 +119,14 @@ def test_budget_report_zero_masses_feasible(mission):
     assert budget_report(mission).feasible
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["distal_sensor_mass_kg", "body_sensor_mass_kg"])
+def test_budget_report_rejects_non_finite_masses(mission, field, value):
+    # a NaN mass compares false against every budget, so it would read feasible
+    with pytest.raises(ValueError, match="must be finite"):
+        budget_report(mission, **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # consistency and dimensional properties
 

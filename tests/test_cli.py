@@ -300,6 +300,27 @@ DEFECTS = {
         ],
         "error: mission.boom_count: expected an integer",
     ),
+    "spinning-is-a-string": (
+        lambda tmp: [
+            "coverage", "--preset", "paper", "--mounts",
+            _mutated(tmp, "paper_mounts.yaml", lambda d: d["body_mounts"][0].__setitem__("spinning", "false")),
+        ],
+        "error: mounts.body_mounts.spinning: expected true or false, got 'false'",
+    ),
+    "higher-is-better-is-a-string": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][0]["bin"].__setitem__("higher_is_better", "false")),
+        ],
+        "error: resolution.bin.higher_is_better: expected true or false, got 'false'",
+    ),
+    "bin-inclusive-is-a-number": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][2]["bin"].__setitem__("high_inclusive", 0)),
+        ],
+        "error: fov.bin.high_inclusive: expected true or false, got 0",
+    ),
     "aliases-not-a-list": (
         lambda tmp: [
             "evaluate", "--preset", "paper", "--catalog",

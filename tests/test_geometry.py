@@ -14,8 +14,10 @@ from boomsuite.geometry import (
     Strategy,
     TubeSection,
     effective_vertical_fov,
+    far_anchor_usable,
     feature_resolvable,
     footprint_at_range,
+    near_anchor_usable,
     near_field_threshold,
     section_coverage,
     stage_plan,
@@ -297,6 +299,33 @@ def test_stage_plan_zero_overlap_is_invalid():
     plan = stage_plan(far, near, 10)
     assert not plan.valid and not plan.marginal
     assert plan.overlap == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("boom", [10 / 3, 3.0, 7.3, 9.0, 10.0, 0.5])
+def test_plan_usability_splits_into_one_test_per_anchor(boom):
+    # range ends on and around the handoff point T and the boom length L,
+    # where the pair rule and the per-anchor tests could part ways
+    t = near_field_threshold(boom)
+    ends = sorted({
+        0.0, t, boom, math.nextafter(t, 0), math.nextafter(t, math.inf),
+        t - 1e-3, t + 1e-3, math.nextafter(boom, 0), math.nextafter(boom, math.inf),
+        boom - 1e-3, boom + 1e-3, 2 * boom, math.inf,
+    })
+    sensors = [
+        _sensor(id=f"r{i}-{j}", range_min=lo, range_max=hi)
+        for i, lo in enumerate(ends) for j, hi in enumerate(ends) if lo < hi and lo != math.inf
+    ]
+    seen = set()
+    for far in sensors:
+        for near in sensors:
+            plan = stage_plan(far, near, boom)
+            usable = plan.valid or plan.marginal
+            assert usable == (far_anchor_usable(far, boom) and near_anchor_usable(near, boom)), (
+                far.range_min, far.range_max, near.range_min, near.range_max,
+            )
+            assert plan.far_ok == far_anchor_usable(far, boom)
+            seen.add((plan.valid, plan.marginal))
+    assert seen == {(True, False), (False, True), (False, False)}
 
 
 @settings(max_examples=80, deadline=None)
