@@ -11,46 +11,19 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import budget as budget_ops
-from .catalog import (
-    Catalog,
-    MissionConfig,
-    Modality,
-    bundled_path,
-    load_catalog,
-    load_mission,
-)
 from .errors import NoFeasibleSuiteError, TradeStudyError
-from .geometry import (
-    TubeSection,
-    effective_vertical_fov,
-    section_coverage,
-    stage_plan,
-)
-from .mounts import MountSpec, load_mounts
-from .reporting import (
-    FORMATS,
-    budget_summary_lines,
-    budget_table,
-    coverage_table,
-    decision_matrix_table,
-    fmt_num,
-    modality_overview_table,
-    selection_lines,
-    sensitivity_table,
-    stage_plan_lines,
-)
-from .scoring import (
-    CriterionName,
-    ScoringProfile,
-    Stage,
-    gate_requirements,
-    load_profile,
-    modality_table,
-    score_matrix,
-)
-from .selector import Placement, PlacementRule, select_best, sensitivity_report
+from .reporting import FORMATS
+
+if TYPE_CHECKING:
+    from .catalog import Catalog, MissionConfig
+    from .mounts import MountSpec
+    from .scoring import ScoringProfile
+    from .selector import PlacementRule
+
+# Each command imports the analysis modules it runs, when it runs, so a
+# process pays only for those.
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -62,13 +35,10 @@ _PROFILE_SHORTHANDS = {
     "modality": "modality.profile",
 }
 
-# Default modality families admitted to each placement slot; each family
-# is one the placement profile carries complete scoring coverage for.
-_BODY_MODALITIES = (Modality.LIDAR, Modality.RADAR)
-_DISTAL_MODALITIES = (Modality.CAMERA2D, Modality.CAMERA3D)
-
 
 def _resolve_profile_path(value: str) -> Path:
+    from .catalog import bundled_path
+
     if value in _PROFILE_SHORTHANDS:
         return bundled_path(_PROFILE_SHORTHANDS[value])
     return Path(value)
@@ -77,6 +47,8 @@ def _resolve_profile_path(value: str) -> Path:
 def _profile(value: str, loaded: dict[Path, ScoringProfile]) -> ScoringProfile:
     """The profile a path or shorthand names, parsed at most once per
     ``loaded`` table."""
+    from .scoring import load_profile
+
     path = _resolve_profile_path(value)
     if path not in loaded:
         loaded[path] = load_profile(path)
@@ -103,6 +75,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_inputs(args: argparse.Namespace, need_mission: bool = True):
+    from .catalog import bundled_path, load_catalog, load_mission
+
     catalog_path = args.catalog
     mission_path = getattr(args, "mission", None)
     if args.preset == "paper":
@@ -120,6 +94,9 @@ def _load_inputs(args: argparse.Namespace, need_mission: bool = True):
 
 
 def _load_mounts(args: argparse.Namespace, catalog: Catalog) -> MountSpec:
+    from .catalog import bundled_path
+    from .mounts import load_mounts
+
     mounts_path = getattr(args, "mounts", None)
     if mounts_path is None and args.preset == "paper":
         mounts_path = bundled_path("paper_mounts.yaml")
@@ -134,8 +111,14 @@ def _default_rules(
     near_profile: ScoringProfile,
     args: argparse.Namespace,
 ) -> list[PlacementRule]:
-    """Body + distal rules with budgets derived from the mission."""
-    report = budget_ops.budget_report(mission)
+    """Body + distal rules with budgets derived from the mission.  Each
+    placement admits by default the modality families its profile carries
+    complete scoring coverage for."""
+    from .budget import budget_report
+    from .catalog import Modality
+    from .selector import Placement, PlacementRule
+
+    report = budget_report(mission)
     body_budget = args.body_budget if args.body_budget is not None else report.body_sensor_budget
     distal_budget = (
         args.distal_budget if args.distal_budget is not None else report.distal_sensor_budget
@@ -151,7 +134,7 @@ def _default_rules(
             mass_budget=body_budget,
             profile=far_profile,
             max_sensors=body_max,
-            modalities=_BODY_MODALITIES,
+            modalities=(Modality.LIDAR, Modality.RADAR),
             min_dust_robust_modalities=min_dust_modalities,
         ),
         PlacementRule(
@@ -159,7 +142,7 @@ def _default_rules(
             mass_budget=distal_budget,
             profile=near_profile,
             max_sensors=args.distal_max,
-            modalities=_DISTAL_MODALITIES,
+            modalities=(Modality.CAMERA2D, Modality.CAMERA3D),
         ),
     ]
 
@@ -173,6 +156,9 @@ def _emit(text: str) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .reporting import decision_matrix_table, modality_overview_table
+    from .scoring import Stage, gate_requirements, load_profile, modality_table, score_matrix
+
     catalog, _ = _load_inputs(args, need_mission=False)
     profile_arg = args.profile or ("far_field" if args.preset == "paper" else None)
     if profile_arg is None:
@@ -197,6 +183,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
+    from .budget import budget_report
+    from .reporting import budget_summary_lines, budget_table
+
     catalog, mission = _load_inputs(args)
     body_mass = args.body_mass
     distal_mass = args.distal_mass
@@ -204,7 +193,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         spec = _load_mounts(args, catalog)
         body_mass = spec.body_mass_kg if body_mass is None else body_mass
         distal_mass = spec.distal_mass_kg if distal_mass is None else distal_mass
-    report = budget_ops.budget_report(mission, distal_mass or 0.0, body_mass or 0.0)
+    report = budget_report(mission, distal_mass or 0.0, body_mass or 0.0)
     if args.format == "table":
         for line in budget_summary_lines(report):
             _emit(line)
@@ -213,6 +202,15 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
+    from .geometry import (
+        TubeSection,
+        effective_vertical_fov,
+        section_coverage,
+        stage_anchor,
+        stage_plan,
+    )
+    from .reporting import coverage_table, fmt_num, stage_plan_lines
+
     catalog, mission = _load_inputs(args)
     spec = _load_mounts(args, catalog)
     tube = spec.analysis_tube or TubeSection(depth=mission.tube_depth, width=mission.tube_width)
@@ -245,14 +243,15 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         )
     _emit(coverage_table(report, args.format, title="Cross-Section Coverage"))
 
-    if spec.distal and spec.body_mounts:
-        ranged = [m.sensor for m in spec.body_mounts if m.sensor.range_max is not None]
-        if ranged:
-            far = max(ranged, key=lambda s: s.range_max)
-            plan = stage_plan(far, spec.distal[0], mission.boom_length)
-            if args.format == "table":
-                for line in stage_plan_lines(plan):
-                    _emit(line)
+    # anchored as the selector anchors a suite's plan; no plan when either
+    # placement has no ranged sensor
+    far = stage_anchor(m.sensor for m in spec.body_mounts)
+    near = stage_anchor(spec.distal)
+    if far is not None and near is not None:
+        plan = stage_plan(far, near, mission.boom_length)
+        if args.format == "table":
+            for line in stage_plan_lines(plan):
+                _emit(line)
     not_visible = [s for s, cov in report.surfaces.items() if not cov.visible]
     if not_visible:
         _emit("not visible: " + ", ".join(not_visible))
@@ -270,6 +269,10 @@ def _select_profiles(
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from .reporting import fmt_num, selection_lines, sensitivity_table
+    from .scoring import CriterionName
+    from .selector import SWEEP_GUARD, select_best, sensitivity_report
+
     catalog, mission = _load_inputs(args)
     far_profile, near_profile = _select_profiles(args, {})
     rules = _default_rules(mission, far_profile, near_profile, args)
@@ -280,9 +283,16 @@ def cmd_select(args: argparse.Namespace) -> int:
             criterion = CriterionName(crit_name)
         except ValueError:
             raise TradeStudyError(f"unknown criterion {crit_name!r}") from None
-        lo, hi = int(lo), int(hi)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise TradeStudyError(f"--sweep MIN and MAX must be integers, got {lo!r} and {hi!r}") from None
         if lo > hi:
             raise TradeStudyError(f"--sweep MIN {lo} is greater than MAX {hi}")
+        if hi - lo + 1 > SWEEP_GUARD:
+            raise TradeStudyError(
+                f"--sweep {lo}..{hi} spans {hi - lo + 1} weights; at most {SWEEP_GUARD} are allowed"
+            )
         weights = list(range(lo, hi + 1))
         rows = sensitivity_report(catalog, rules, mission, criterion, weights)
         _emit(
@@ -311,6 +321,18 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .budget import budget_report
+    from .geometry import TubeSection, section_coverage
+    from .reporting import (
+        budget_table,
+        coverage_table,
+        decision_matrix_table,
+        modality_overview_table,
+        selection_lines,
+    )
+    from .scoring import gate_requirements, modality_table, score_matrix
+    from .selector import select_best
+
     catalog, mission = _load_inputs(args)
     sections: list[str] = []
     worst = EXIT_OK
@@ -318,7 +340,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # unless --far-profile/--near-profile name other files, the selection.
     profiles: dict[Path, ScoringProfile] = {}
 
-    modality_profile = load_profile(_resolve_profile_path("modality"))
+    modality_profile = _profile("modality", {})
     table = modality_table(catalog, modality_profile)
     sections.append(
         modality_overview_table(
@@ -333,7 +355,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         sections.append(decision_matrix_table(matrix, pool, args.format, title=label))
 
     spec = _load_mounts(args, catalog)
-    report = budget_ops.budget_report(mission, spec.distal_mass_kg, spec.body_mass_kg)
+    report = budget_report(mission, spec.distal_mass_kg, spec.body_mass_kg)
     sections.append(budget_table(report, args.format, title="Mass and Buckling Budget"))
     if not report.feasible:
         worst = EXIT_INFEASIBLE

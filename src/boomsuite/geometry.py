@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .catalog import PixelGrid, ScanPattern, SensorRecord
@@ -37,6 +38,7 @@ __all__ = [
     "effective_vertical_fov",
     "section_coverage",
     "stage_plan",
+    "stage_anchor",
     "far_anchor_usable",
     "near_anchor_usable",
     "strategy_recommend",
@@ -396,6 +398,14 @@ def stage_plan(
         valid=valid,
         marginal=marginal,
     )
+
+
+def stage_anchor(sensors: Iterable[SensorRecord]) -> SensorRecord | None:
+    """The sensor a placement's stage plan is anchored on: its longest-range
+    sensor with both range bounds (the first of equals), or None when the
+    placement has no such sensor and so cannot take part in a plan."""
+    ranged = [s for s in sensors if s.range_min is not None and s.range_max is not None]
+    return max(ranged, key=lambda s: s.range_max) if ranged else None
 
 
 def far_anchor_usable(sensor: SensorRecord, boom_length_m: float) -> bool:

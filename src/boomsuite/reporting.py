@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .budget import BudgetReport
-from .catalog import Catalog, Modality, Ordinal
-from .geometry import CoverageReport, StagePlan
-from .scoring import CriterionName, DecisionMatrix
-from .selector import SensitivityRow, SuiteSolution
+if TYPE_CHECKING:  # result types, for annotations only
+    from .budget import BudgetReport
+    from .catalog import Catalog, Modality, Ordinal
+    from .geometry import CoverageReport, StagePlan
+    from .scoring import CriterionName, DecisionMatrix
+    from .selector import SensitivityRow, SuiteSolution
 
 __all__ = [
     "FORMATS",
@@ -33,17 +34,20 @@ __all__ = [
 
 FORMATS = ("table", "csv", "md")
 
+# Column label of each criterion, by CriterionName value, in the order
+# CriterionName declares them; keyed by value so that rendering loads no
+# scoring code.
 _CRITERION_LABELS = {
-    CriterionName.RESOLUTION: "Res",
-    CriterionName.ACCURACY: "Acc",
-    CriterionName.FOV: "FoV",
-    CriterionName.RANGE: "Rng",
-    CriterionName.DARKNESS: "Dark",
-    CriterionName.DUST: "Dust",
-    CriterionName.POWER: "Pwr",
-    CriterionName.IMPLEMENTATION_EASE: "Ease",
-    CriterionName.LIGHTNESS: "Light",
-    CriterionName.AFFORDABILITY: "Afford",
+    "resolution": "Res",
+    "accuracy": "Acc",
+    "fov": "FoV",
+    "range": "Rng",
+    "darkness": "Dark",
+    "dust": "Dust",
+    "power": "Pwr",
+    "implementation_ease": "Ease",
+    "lightness": "Light",
+    "affordability": "Afford",
 }
 
 
@@ -106,7 +110,7 @@ def decision_matrix_table(
     """Sensor rows, per-criterion scores, weighted sum, gate flags."""
     headers = (
         ["Sensor"]
-        + [_CRITERION_LABELS[c] for c in matrix.criteria]
+        + [_CRITERION_LABELS[c.value] for c in matrix.criteria]
         + ["Weighted Sum", "Eligible", "Failing"]
     )
     weight_row = (
@@ -137,13 +141,13 @@ def modality_overview_table(
     title: str | None = None,
 ) -> str:
     """Per-modality High/Mid/Low capability grid."""
-    criteria = list(CriterionName)
-    headers = ["Modality", "Exemplar"] + [_CRITERION_LABELS[c] for c in criteria]
+    headers = ["Modality", "Exemplar"] + list(_CRITERION_LABELS.values())
     rows = []
     for modality, cells in table.items():
         exemplar_id = exemplars.get(modality)
         exemplar = catalog.get(exemplar_id).name if exemplar_id else "-"
-        rows.append([modality.value, exemplar] + [cells[c].word for c in criteria])
+        words = {c.value: grade.word for c, grade in cells.items()}
+        rows.append([modality.value, exemplar] + [words[c] for c in _CRITERION_LABELS])
     return render_table(headers, rows, fmt, title=title)
 
 

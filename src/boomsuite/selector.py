@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 from .catalog import Catalog, MissionConfig, Modality, SensorRecord
 from .errors import EnumerationGuardError, NoFeasibleSuiteError
-from .geometry import StagePlan, far_anchor_usable, near_anchor_usable, stage_plan
+from .geometry import StagePlan, far_anchor_usable, near_anchor_usable, stage_anchor, stage_plan
 from .scoring import CriterionName, DecisionMatrix, ScoringProfile, gate_requirements, score_matrix
 
 __all__ = [
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 1_000_000
+# Most weights one ``select --sweep`` may solve for: each is a full
+# selection, and the range is checked before any list of weights is built.
+SWEEP_GUARD = 1_000
 
 
 class Placement(enum.Enum):
@@ -142,17 +145,6 @@ def _subset_ok(slot: _Slot, subset: tuple[SensorRecord, ...]) -> bool:
     return True
 
 
-def _ranged(sensor: SensorRecord) -> bool:
-    return sensor.range_max is not None and sensor.range_min is not None
-
-
-def _anchor(subset: tuple[SensorRecord, ...]) -> SensorRecord | None:
-    """Longest-range sensor of a placement (the first of equals), or None
-    when the placement has no ranged sensor."""
-    ranged = [s for s in subset if _ranged(s)]
-    return max(ranged, key=lambda s: s.range_max) if ranged else None
-
-
 def _suite_stage_plan(
     body: tuple[SensorRecord, ...],
     distal: tuple[SensorRecord, ...],
@@ -160,7 +152,7 @@ def _suite_stage_plan(
 ) -> StagePlan | None:
     """Stage plan anchored on the longest-range sensor of each placement;
     None when either placement lacks a ranged sensor."""
-    far_anchor, near_anchor = _anchor(body), _anchor(distal)
+    far_anchor, near_anchor = stage_anchor(body), stage_anchor(distal)
     if far_anchor is None or near_anchor is None:
         return None
     return stage_plan(far_anchor, near_anchor, mission.boom_length)
@@ -374,7 +366,7 @@ def _top_usable(
     for score, subset in _ranked_subsets(slot):
         if top_score is not None and score < top_score:
             break
-        anchor = _anchor(subset)
+        anchor = stage_anchor(subset)
         if check is None or (anchor is not None and check(anchor, boom_length)):
             top_score = score
             top.append(subset)
@@ -413,7 +405,7 @@ def select_best(
     for body, distal in itertools.product(bodies, distals):
         plan = None
         if paired:
-            far, near = _anchor(body), _anchor(distal)
+            far, near = stage_anchor(body), stage_anchor(distal)
             if (far.id, near.id) not in plans:
                 plans[far.id, near.id] = stage_plan(far, near, length)
             plan = plans[far.id, near.id]

@@ -229,6 +229,29 @@ def _set_first_sensor(key, value):
     return lambda doc: doc["sensors"][0].__setitem__(key, value)
 
 
+def _sensor(doc, sensor_id):
+    return next(s for s in doc["sensors"] if s["id"] == sensor_id)
+
+
+def test_coverage_without_a_ranged_tip_sensor_leaves_out_the_stage_plan(capsys, tmp_path):
+    """A tip camera without range_min cannot anchor a stage plan: coverage
+    prints no plan, as select and report treat it, instead of failing
+    after the table."""
+    catalog = _mutated(tmp_path, "paper_catalog.yaml", lambda d: _sensor(d, "d435i").pop("range_min"))
+    code, out, err = run(capsys, "coverage", "--preset", "paper", "--catalog", catalog)
+    assert code == 0
+    assert "== Cross-Section Coverage ==" in out
+    assert "stage plan" not in out
+    assert "error:" not in err
+
+
+def test_coverage_plans_against_the_longest_range_tip_sensor(capsys, tmp_path):
+    mounts = _mutated(tmp_path, "paper_mounts.yaml", lambda d: d.__setitem__("distal_sensors", ["d435i", "zed2"]))
+    code, out, _ = run(capsys, "coverage", "--preset", "paper", "--mounts", mounts)
+    assert code == 0
+    assert "stage plan: far=vlp16 near=zed2" in out
+
+
 # Bad input of each kind: the command must exit 2 with an ``error:`` line
 # naming the flag or the file field, never a traceback or a wrong result.
 DEFECTS = {
@@ -243,6 +266,14 @@ DEFECTS = {
     "empty-sweep-range": (
         lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "4", "0"],
         "error: --sweep MIN 4 is greater than MAX 0",
+    ),
+    "sweep-bound-not-an-integer": (
+        lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "0", "x"],
+        "error: --sweep MIN and MAX must be integers, got '0' and 'x'",
+    ),
+    "sweep-range-too-wide": (
+        lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "0", "100000000"],
+        "error: --sweep 0..100000000 spans 100000001 weights; at most 1000 are allowed",
     ),
     "criterion-entry-is-a-string": (
         lambda tmp: [
