@@ -18,9 +18,10 @@ from .reporting import FORMATS
 
 if TYPE_CHECKING:
     from .catalog import Catalog, MissionConfig
+    from .geometry import CoverageReport, TubeSection
     from .mounts import MountSpec
     from .scoring import ScoringProfile
-    from .selector import PlacementRule
+    from .selector import PlacementRule, SuiteSolution
 
 # Each command imports the analysis modules it runs, when it runs, so a
 # process pays only for those.
@@ -29,6 +30,12 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 
+_PRESET_FILES = {
+    "catalog": "paper_catalog.yaml",
+    "mission": "paper_mission.yaml",
+    "mounts": "paper_mounts.yaml",
+}
+
 _PROFILE_SHORTHANDS = {
     "far_field": "far_field.profile",
     "near_field": "near_field.profile",
@@ -36,23 +43,25 @@ _PROFILE_SHORTHANDS = {
 }
 
 
-def _resolve_profile_path(value: str) -> Path:
+def _input(args: argparse.Namespace, name: str) -> str | Path:
+    """The file ``--<name>`` names, else the ``--preset paper`` one."""
     from .catalog import bundled_path
 
-    if value in _PROFILE_SHORTHANDS:
-        return bundled_path(_PROFILE_SHORTHANDS[value])
-    return Path(value)
+    if getattr(args, name):
+        return getattr(args, name)
+    if args.preset != "paper":
+        raise TradeStudyError(f"a --{name} file is required (or use --preset paper)")
+    return bundled_path(_PRESET_FILES[name])
 
 
-def _profile(value: str, loaded: dict[Path, ScoringProfile]) -> ScoringProfile:
-    """The profile a path or shorthand names, parsed at most once per
-    ``loaded`` table."""
+def _load_profile(value: str) -> ScoringProfile:
+    """The profile a bundled shorthand or a path names."""
+    from .catalog import bundled_path
     from .scoring import load_profile
 
-    path = _resolve_profile_path(value)
-    if path not in loaded:
-        loaded[path] = load_profile(path)
-    return loaded[path]
+    if value in _PROFILE_SHORTHANDS:
+        return load_profile(bundled_path(_PROFILE_SHORTHANDS[value]))
+    return load_profile(value)
 
 
 def _finite_float(text: str) -> float:
@@ -74,35 +83,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mission", help="mission configuration file")
 
 
-def _load_inputs(args: argparse.Namespace, need_mission: bool = True):
-    from .catalog import bundled_path, load_catalog, load_mission
+def _load_inputs(args: argparse.Namespace) -> tuple[Catalog, MissionConfig]:
+    from .catalog import load_catalog, load_mission
 
-    catalog_path = args.catalog
-    mission_path = getattr(args, "mission", None)
-    if args.preset == "paper":
-        catalog_path = catalog_path or bundled_path("paper_catalog.yaml")
-        mission_path = mission_path or bundled_path("paper_mission.yaml")
-    if catalog_path is None:
-        raise TradeStudyError("a --catalog file is required (or use --preset paper)")
-    catalog = load_catalog(catalog_path)
-    mission = None
-    if need_mission:
-        if mission_path is None:
-            raise TradeStudyError("a --mission file is required (or use --preset paper)")
-        mission = load_mission(mission_path)
-    return catalog, mission
-
-
-def _load_mounts(args: argparse.Namespace, catalog: Catalog) -> MountSpec:
-    from .catalog import bundled_path
-    from .mounts import load_mounts
-
-    mounts_path = getattr(args, "mounts", None)
-    if mounts_path is None and args.preset == "paper":
-        mounts_path = bundled_path("paper_mounts.yaml")
-    if mounts_path is None:
-        raise TradeStudyError("a --mounts file is required (or use --preset paper)")
-    return load_mounts(mounts_path, catalog)
+    return load_catalog(_input(args, "catalog")), load_mission(_input(args, "mission"))
 
 
 def _default_rules(
@@ -147,8 +131,59 @@ def _default_rules(
     ]
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
+# ---------------------------------------------------------------------------
+# sections, each printed by its own command and again by ``report``
+
+
+def _matrix_section(catalog: Catalog, profile: ScoringProfile, fmt: str, title: str | None = None) -> str:
+    """The modality overview or gated decision matrix ``profile`` stages,
+    titled by its stage unless ``title`` is given."""
+    from .reporting import decision_matrix_table, modality_overview_table
+    from .scoring import Stage, gate_requirements, modality_table, score_matrix
+
+    if profile.stage is Stage.MODALITY_OVERVIEW:
+        table = modality_table(catalog, profile)
+        return modality_overview_table(
+            table, catalog, dict(profile.exemplars), fmt, title=title or "Modality Overview"
+        )
+    pool = catalog.subset(modalities=profile.modalities) if profile.modalities else catalog
+    matrix = gate_requirements(score_matrix(pool, profile), profile)
+    return decision_matrix_table(
+        matrix, pool, fmt, title=title or f"Decision Matrix ({profile.stage.value})"
+    )
+
+
+def _coverage(
+    spec: MountSpec, mission: MissionConfig, depth: float | None = None, width: float | None = None
+) -> tuple[TubeSection, CoverageReport]:
+    """The analysis slice, with ``depth``/``width`` overriding the mounts
+    file's or the mission's, and what the body mounts see of it."""
+    from .geometry import TubeSection, section_coverage
+
+    tube = spec.analysis_tube or TubeSection(depth=mission.tube_depth, width=mission.tube_width)
+    if depth is not None or width is not None:
+        tube = TubeSection(
+            depth=depth if depth is not None else tube.depth,
+            width=width if width is not None else tube.width,
+        )
+    if not spec.body_mounts:
+        raise TradeStudyError("mount specification lists no body mounts")
+    return tube, section_coverage(list(spec.body_mounts), tube, mission.boom_length)
+
+
+def _selection(
+    catalog: Catalog, mission: MissionConfig, rules: list[PlacementRule], fmt: str
+) -> tuple[SuiteSolution | None, str]:
+    """The best suite under ``rules`` and its section, or None and a
+    section listing why no suite is feasible."""
+    from .reporting import selection_lines
+    from .selector import select_best
+
+    try:
+        suite = select_best(catalog, rules, mission)
+    except NoFeasibleSuiteError as exc:
+        return None, "\n".join(["no feasible suite:", *(f"  - {reason}" for reason in exc.reasons)])
+    return suite, selection_lines(suite, fmt, title="Selected Suite")
 
 
 # ---------------------------------------------------------------------------
@@ -156,29 +191,13 @@ def _emit(text: str) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .reporting import decision_matrix_table, modality_overview_table
-    from .scoring import Stage, gate_requirements, load_profile, modality_table, score_matrix
+    from .catalog import load_catalog
 
-    catalog, _ = _load_inputs(args, need_mission=False)
+    catalog = load_catalog(_input(args, "catalog"))
     profile_arg = args.profile or ("far_field" if args.preset == "paper" else None)
     if profile_arg is None:
         raise TradeStudyError("a --profile file or shorthand is required")
-    profile = load_profile(_resolve_profile_path(profile_arg))
-    if profile.stage is Stage.MODALITY_OVERVIEW:
-        table = modality_table(catalog, profile)
-        _emit(
-            modality_overview_table(
-                table, catalog, dict(profile.exemplars), args.format, title="Modality Overview"
-            )
-        )
-        return EXIT_OK
-    pool = catalog.subset(modalities=profile.modalities) if profile.modalities else catalog
-    matrix = gate_requirements(score_matrix(pool, profile), profile)
-    _emit(
-        decision_matrix_table(
-            matrix, pool, args.format, title=f"Decision Matrix ({profile.stage.value})"
-        )
-    )
+    print(_matrix_section(catalog, _load_profile(profile_arg), args.format))
     return EXIT_OK
 
 
@@ -187,94 +206,71 @@ def cmd_budget(args: argparse.Namespace) -> int:
     from .reporting import budget_summary_lines, budget_table
 
     catalog, mission = _load_inputs(args)
-    body_mass = args.body_mass
-    distal_mass = args.distal_mass
-    if args.preset == "paper" and (body_mass is None or distal_mass is None):
-        spec = _load_mounts(args, catalog)
+    body_mass, distal_mass = args.body_mass, args.distal_mass
+    if (body_mass is None or distal_mass is None) and (args.mounts or args.preset == "paper"):
+        from .mounts import load_mounts
+
+        spec = load_mounts(_input(args, "mounts"), catalog)
         body_mass = spec.body_mass_kg if body_mass is None else body_mass
         distal_mass = spec.distal_mass_kg if distal_mass is None else distal_mass
     report = budget_report(mission, distal_mass or 0.0, body_mass or 0.0)
     if args.format == "table":
-        for line in budget_summary_lines(report):
-            _emit(line)
-    _emit(budget_table(report, args.format, title="Mass and Buckling Budget"))
+        print("\n".join(budget_summary_lines(report)))
+    print(budget_table(report, args.format, title="Mass and Buckling Budget"))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    from .geometry import (
-        TubeSection,
-        effective_vertical_fov,
-        section_coverage,
-        stage_anchor,
-        stage_plan,
-    )
+    from .geometry import effective_vertical_fov, stage_anchor, stage_plan
+    from .mounts import load_mounts
     from .reporting import coverage_table, fmt_num, stage_plan_lines
 
     catalog, mission = _load_inputs(args)
-    spec = _load_mounts(args, catalog)
-    tube = spec.analysis_tube or TubeSection(depth=mission.tube_depth, width=mission.tube_width)
-    if args.tube_depth is not None or args.tube_width is not None:
-        tube = TubeSection(
-            depth=args.tube_depth if args.tube_depth is not None else tube.depth,
-            width=args.tube_width if args.tube_width is not None else tube.width,
-        )
-    if not spec.body_mounts:
-        raise TradeStudyError("mount specification lists no body mounts")
-    report = section_coverage(list(spec.body_mounts), tube, mission.boom_length)
+    spec = load_mounts(_input(args, "mounts"), catalog)
+    tube, report = _coverage(spec, mission, args.tube_depth, args.tube_width)
+    section = coverage_table(report, args.format, title="Cross-Section Coverage")
 
     if args.format == "table":
+        lines = []
         for mount in spec.body_mounts:
             fov = mount.sensor.fov
-            vfov = fov.vertical_deg if fov and fov.vertical_deg is not None else (
-                fov.horizontal_deg if fov else None
-            )
-            if vfov is None:
+            if fov is None:
                 continue
+            vfov = fov.vertical_deg if fov.vertical_deg is not None else fov.horizontal_deg
             eff = effective_vertical_fov(vfov, abs(mount.tilt_deg), mount.spinning)
             kind = "spinning" if mount.spinning else "static"
-            _emit(
+            lines.append(
                 f"{mount.sensor.id} at {fmt_num(mount.tilt_deg)} deg ({kind}): "
                 f"effective vertical FOV {fmt_num(eff)} deg"
             )
-        _emit(
+        lines.append(
             f"analysis slice: {fmt_num(tube.depth)} m deep x {fmt_num(tube.width)} m wide; "
             f"near-field boundary {fmt_num(report.near_field_max)} m"
         )
-    _emit(coverage_table(report, args.format, title="Cross-Section Coverage"))
-
-    # anchored as the selector anchors a suite's plan; no plan when either
-    # placement has no ranged sensor
-    far = stage_anchor(m.sensor for m in spec.body_mounts)
-    near = stage_anchor(spec.distal)
-    if far is not None and near is not None:
-        plan = stage_plan(far, near, mission.boom_length)
-        if args.format == "table":
-            for line in stage_plan_lines(plan):
-                _emit(line)
+        lines.append(section)
+        # anchored as the selector anchors a suite's plan; no plan when
+        # either placement has no ranged sensor
+        far = stage_anchor(m.sensor for m in spec.body_mounts)
+        near = stage_anchor(spec.distal)
+        if far is not None and near is not None:
+            lines.extend(stage_plan_lines(stage_plan(far, near, mission.boom_length)))
+        section = "\n".join(lines)
+    print(section)
     not_visible = [s for s, cov in report.surfaces.items() if not cov.visible]
     if not_visible:
-        _emit("not visible: " + ", ".join(not_visible))
+        print("not visible: " + ", ".join(not_visible))
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
-def _select_profiles(
-    args: argparse.Namespace, loaded: dict[Path, ScoringProfile]
-) -> tuple[ScoringProfile, ScoringProfile]:
-    return (
-        _profile(args.far_profile or "far_field", loaded),
-        _profile(args.near_profile or "near_field", loaded),
-    )
-
-
 def cmd_select(args: argparse.Namespace) -> int:
-    from .reporting import fmt_num, selection_lines, sensitivity_table
+    from .reporting import fmt_num, sensitivity_table
     from .scoring import CriterionName
-    from .selector import SWEEP_GUARD, select_best, sensitivity_report
+    from .selector import SWEEP_GUARD, sensitivity_report
 
     catalog, mission = _load_inputs(args)
-    far_profile, near_profile = _select_profiles(args, {})
+    far_profile = _load_profile(args.far_profile or "far_field")
+    near_profile = _load_profile(args.near_profile or "near_field")
     rules = _default_rules(mission, far_profile, near_profile, args)
 
     if args.sweep is not None:
@@ -295,88 +291,55 @@ def cmd_select(args: argparse.Namespace) -> int:
             )
         weights = list(range(lo, hi + 1))
         rows = sensitivity_report(catalog, rules, mission, criterion, weights)
-        _emit(
+        print(
             sensitivity_table(
                 rows, criterion, args.format, title=f"Sensitivity: {criterion.value} weight"
             )
         )
         return EXIT_OK
 
-    try:
-        suite = select_best(catalog, rules, mission)
-    except NoFeasibleSuiteError as exc:
-        _emit("no feasible suite:")
-        for reason in exc.reasons:
-            _emit(f"  - {reason}")
-        return EXIT_INFEASIBLE
-    body_rule = rules[0]
-    distal_rule = rules[1]
-    if args.format == "table":
-        _emit(
-            f"body budget: {fmt_num(suite.body_mass)} of {fmt_num(body_rule.mass_budget)} kg; "
-            f"distal budget: {fmt_num(suite.distal_mass)} of {fmt_num(distal_rule.mass_budget)} kg"
+    suite, section = _selection(catalog, mission, rules, args.format)
+    if suite is not None and args.format == "table":
+        print(
+            f"body budget: {fmt_num(suite.body_mass)} of {fmt_num(rules[0].mass_budget)} kg; "
+            f"distal budget: {fmt_num(suite.distal_mass)} of {fmt_num(rules[1].mass_budget)} kg"
         )
-    _emit(selection_lines(suite, args.format, title="Selected Suite"))
-    return EXIT_OK
+    print(section)
+    return EXIT_OK if suite is not None else EXIT_INFEASIBLE
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     from .budget import budget_report
-    from .geometry import TubeSection, section_coverage
-    from .reporting import (
-        budget_table,
-        coverage_table,
-        decision_matrix_table,
-        modality_overview_table,
-        selection_lines,
-    )
-    from .scoring import gate_requirements, modality_table, score_matrix
-    from .selector import select_best
+    from .mounts import load_mounts
+    from .reporting import budget_table, coverage_table
 
     catalog, mission = _load_inputs(args)
-    sections: list[str] = []
-    worst = EXIT_OK
     # The bundled far- and near-field profiles feed both the matrices and,
     # unless --far-profile/--near-profile name other files, the selection.
-    profiles: dict[Path, ScoringProfile] = {}
+    sections = [_matrix_section(catalog, _load_profile("modality"), args.format)]
+    far_profile = _load_profile("far_field")
+    sections.append(_matrix_section(catalog, far_profile, args.format, title="Far-Field Matrix"))
+    near_profile = _load_profile("near_field")
+    sections.append(_matrix_section(catalog, near_profile, args.format, title="Near-Field Matrix"))
 
-    modality_profile = _profile("modality", {})
-    table = modality_table(catalog, modality_profile)
-    sections.append(
-        modality_overview_table(
-            table, catalog, dict(modality_profile.exemplars), args.format, title="Modality Overview"
-        )
-    )
+    spec = load_mounts(_input(args, "mounts"), catalog)
+    budget = budget_report(mission, spec.distal_mass_kg, spec.body_mass_kg)
+    sections.append(budget_table(budget, args.format, title="Mass and Buckling Budget"))
 
-    for shorthand, label in (("far_field", "Far-Field Matrix"), ("near_field", "Near-Field Matrix")):
-        profile = _profile(shorthand, profiles)
-        pool = catalog.subset(modalities=profile.modalities) if profile.modalities else catalog
-        matrix = gate_requirements(score_matrix(pool, profile), profile)
-        sections.append(decision_matrix_table(matrix, pool, args.format, title=label))
-
-    spec = _load_mounts(args, catalog)
-    report = budget_report(mission, spec.distal_mass_kg, spec.body_mass_kg)
-    sections.append(budget_table(report, args.format, title="Mass and Buckling Budget"))
-    if not report.feasible:
-        worst = EXIT_INFEASIBLE
-
-    tube = spec.analysis_tube or TubeSection(depth=mission.tube_depth, width=mission.tube_width)
-    coverage = section_coverage(list(spec.body_mounts), tube, mission.boom_length)
+    _, coverage = _coverage(spec, mission)
     sections.append(coverage_table(coverage, args.format, title="Cross-Section Coverage"))
-    if not coverage.all_visible:
-        worst = EXIT_INFEASIBLE
 
-    far_profile, near_profile = _select_profiles(args, profiles)
+    if args.far_profile:
+        far_profile = _load_profile(args.far_profile)
+    if args.near_profile:
+        near_profile = _load_profile(args.near_profile)
     rules = _default_rules(mission, far_profile, near_profile, args)
-    try:
-        suite = select_best(catalog, rules, mission)
-        sections.append(selection_lines(suite, args.format, title="Selected Suite"))
-    except NoFeasibleSuiteError as exc:
-        sections.append("no feasible suite: " + "; ".join(exc.reasons))
-        worst = EXIT_INFEASIBLE
+    suite, section = _selection(catalog, mission, rules, args.format)
+    sections.append(section)
 
-    _emit("\n\n".join(sections))
-    return worst
+    print("\n\n".join(sections))
+    feasible = budget.feasible and coverage.all_visible and suite is not None
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TradeStudyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (TradeStudyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -91,6 +91,25 @@ def test_budget_infeasible_distal_mass_exits_one(capsys):
     assert "no" in out  # feasible: no
 
 
+def _paper_files(*names):
+    return [arg for name in names for arg in (f"--{name}", str(bundled_path(f"paper_{name}.yaml")))]
+
+
+def test_budget_reads_masses_from_a_mounts_file_without_preset(capsys):
+    code, out, _ = run(capsys, "budget", *_paper_files("catalog", "mission", "mounts"), "--format", "csv")
+    assert code == 0
+    assert "body_sensor_mass_kg,1.7\n" in out
+    assert "distal_sensor_mass_kg,0.26\n" in out
+
+
+def test_budget_missing_mounts_file_exits_two(capsys, tmp_path):
+    missing = tmp_path / "no_such_mounts.yaml"
+    code, out, err = run(capsys, "budget", *_paper_files("catalog", "mission"), "--mounts", str(missing))
+    assert code == 2
+    assert f"file not found: {missing}" in err
+    assert out == ""
+
+
 def test_coverage_preset_all_visible_with_120_vfov(capsys):
     code, out, _ = run(capsys, "coverage", "--preset", "paper")
     assert code == 0
@@ -147,6 +166,14 @@ def test_report_bundles_every_section(capsys):
         "Selected Suite",
     ):
         assert title in out
+
+
+@pytest.mark.parametrize("flags", [(), ("--redundancy",), ("--distal-budget", "0.05")])
+def test_report_ends_with_the_section_select_prints(capsys, flags):
+    code, out, _ = run(capsys, "select", "--preset", "paper", "--format", "csv", *flags)
+    report_code, report_out, _ = run(capsys, "report", "--preset", "paper", "--format", "csv", *flags)
+    assert report_out.endswith("\n\n" + out)
+    assert report_code == code
 
 
 def test_cli_is_deterministic(capsys):
