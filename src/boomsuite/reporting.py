@@ -235,7 +235,6 @@ def selection_lines(suite: SuiteSolution, fmt: str, title: str | None = None) ->
         ["distal_mass_kg", fmt_num(suite.distal_mass)],
         ["total_price_usd", fmt_num(suite.total_price)],
         ["aggregate_score", fmt_num(suite.aggregate_score)],
-        ["feasible", "yes" if suite.feasible else "no"],
     ]
     if suite.stage_plan is not None:
         plan = suite.stage_plan

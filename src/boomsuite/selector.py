@@ -86,7 +86,7 @@ class PlacementRule:
 
 @dataclass(frozen=True)
 class SuiteSolution:
-    """A placement assignment with its aggregate score and feasibility."""
+    """A feasible placement assignment with its aggregate score."""
 
     body_sensors: tuple[str, ...] = ()
     distal_sensors: tuple[str, ...] = ()
@@ -95,8 +95,6 @@ class SuiteSolution:
     total_price: float = 0.0            # USD
     aggregate_score: int = 0
     stage_plan: StagePlan | None = None
-    feasible: bool = True
-    reasons: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -202,7 +200,6 @@ def _solution(
         total_price=sum(s.price for s in body) + sum(s.price for s in distal),
         aggregate_score=score,
         stage_plan=plan,
-        feasible=True,
         warnings=tuple(warnings),
     )
 
