@@ -35,7 +35,6 @@ _EXPORTS = {
             "bundled_path",
             "load_catalog",
             "load_mission",
-            "save_catalog",
         ),
         "errors": (
             "ConfigError",

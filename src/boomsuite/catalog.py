@@ -29,7 +29,6 @@ __all__ = [
     "Catalog",
     "load_catalog",
     "load_mission",
-    "save_catalog",
     "bundled_path",
 ]
 
@@ -363,6 +362,12 @@ def _number(value: Any, subject: str, field_name: str) -> float:
     return float(value)
 
 
+def _text(value: Any, subject: str, field_name: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(subject, field_name, f"expected a string, got {value!r}")
+    return value
+
+
 def _boolean(value: Any, subject: str, field_name: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(subject, field_name, f"expected true or false, got {value!r}")
@@ -414,7 +419,7 @@ def _parse_resolution(raw: Any, subject: str) -> PixelGrid | ScanPattern:
 def _parse_sensor(raw: Any) -> SensorRecord:
     if not isinstance(raw, Mapping):
         raise ValidationError("<sensor>", "entry", "expected a mapping per sensor")
-    sensor_id = str(_require(raw, "id", "<sensor>"))
+    sensor_id = _text(_require(raw, "id", "<sensor>"), "<sensor>", "id")
     try:
         modality = Modality(str(_require(raw, "modality", sensor_id)))
     except ValueError:
@@ -459,7 +464,7 @@ def _parse_sensor(raw: Any) -> SensorRecord:
 
     return SensorRecord(
         id=sensor_id,
-        name=str(raw.get("name", sensor_id)),
+        name=sensor_id if raw.get("name") is None else _text(raw["name"], sensor_id, "name"),
         modality=modality,
         mass=_number(_require(raw, "mass", sensor_id), sensor_id, "mass"),
         price=_number(_require(raw, "price", sensor_id), sensor_id, "price"),
@@ -473,8 +478,10 @@ def _parse_sensor(raw: Any) -> SensorRecord:
         dust_robust=opt_ordinal("dust_robust"),
         implementation_ease=opt_ordinal("implementation_ease"),
         dimensions=dimensions,
-        aliases=tuple(str(a) for a in _list(raw.get("aliases"), sensor_id, "aliases")),
-        notes=str(raw.get("notes", "")),
+        aliases=tuple(
+            _text(a, sensor_id, "aliases") for a in _list(raw.get("aliases"), sensor_id, "aliases")
+        ),
+        notes="" if raw.get("notes") is None else _text(raw["notes"], sensor_id, "notes"),
     )
 
 
@@ -519,59 +526,3 @@ def load_mission(path: str | Path) -> MissionConfig:
     }
     return MissionConfig(**kwargs)
 
-
-# ---------------------------------------------------------------------------
-# serialization (round-trip support)
-
-
-def _sensor_to_dict(s: SensorRecord) -> dict[str, Any]:
-    out: dict[str, Any] = {"id": s.id, "name": s.name, "modality": s.modality.value}
-    if isinstance(s.resolution, PixelGrid):
-        out["resolution"] = {"pixels": {"width": s.resolution.width_px, "height": s.resolution.height_px}}
-    elif isinstance(s.resolution, ScanPattern):
-        out["resolution"] = {
-            "scan": {
-                "channels": s.resolution.channels,
-                "horizontal_res_deg": s.resolution.horizontal_res_deg,
-                "vertical_res_deg": s.resolution.vertical_res_deg,
-            }
-        }
-    if s.accuracy is not None:
-        out["accuracy"] = (
-            {"percent": s.accuracy.percent}
-            if s.accuracy.percent is not None
-            else {"absolute_mm": s.accuracy.absolute_mm}
-        )
-    if s.fov is not None:
-        fov: dict[str, Any] = {"horizontal_deg": s.fov.horizontal_deg}
-        if s.fov.vertical_deg is not None:
-            fov["vertical_deg"] = s.fov.vertical_deg
-        if s.fov.diagonal_deg is not None:
-            fov["diagonal_deg"] = s.fov.diagonal_deg
-        out["fov"] = fov
-    for key in ("range_min", "range_max", "power"):
-        value = getattr(s, key)
-        if value is not None:
-            out[key] = value
-    for key in ("darkness_robust", "dust_robust", "implementation_ease"):
-        value = getattr(s, key)
-        if value is not None:
-            out[key] = value.word.lower()
-    out["mass"] = s.mass
-    if s.dimensions is not None:
-        out["dimensions"] = list(s.dimensions)
-    out["price"] = s.price
-    if s.aliases:
-        out["aliases"] = list(s.aliases)
-    if s.notes:
-        out["notes"] = s.notes
-    return out
-
-
-def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    """Write a catalog back to disk; load_catalog(save_catalog(c)) == c."""
-    import yaml
-
-    doc = {"sensors": [_sensor_to_dict(s) for s in catalog]}
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)

@@ -1,4 +1,4 @@
-"""Catalog/mission loading, validation, and round-trip serialization."""
+"""Catalog/mission loading and validation."""
 
 import math
 import os
@@ -20,7 +20,6 @@ from boomsuite.catalog import (
     bundled_path,
     load_catalog,
     load_mission,
-    save_catalog,
 )
 from boomsuite.errors import ConfigError, ValidationError
 from boomsuite.mounts import load_mounts
@@ -91,13 +90,6 @@ def test_mission_values(mission):
     assert mission.instrument_mass == 15.1
     assert mission.body_sensor_fraction == 0.20
     assert (mission.tube_depth, mission.tube_width) == (30, 300)
-
-
-def test_catalog_round_trip(catalog, tmp_path):
-    path = tmp_path / "roundtrip.yaml"
-    save_catalog(catalog, path)
-    reloaded = load_catalog(path)
-    assert reloaded == catalog
 
 
 def _write(tmp_path, doc):

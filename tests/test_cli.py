@@ -386,6 +386,27 @@ DEFECTS = {
         ],
         "error: rsbpearl.aliases: expected a list",
     ),
+    "name-is-a-list": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("name", [1, "a"])),
+        ],
+        "error: vlp16.name: expected a string, got [1, 'a']",
+    ),
+    "notes-is-a-mapping": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", _set_first_sensor("notes", {"a": 1})),
+        ],
+        "error: rsbpearl.notes: expected a string, got {'a': 1}",
+    ),
+    "alias-is-a-list": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", _set_first_sensor("aliases", ["RS-Pearl", ["x"]])),
+        ],
+        "error: rsbpearl.aliases: expected a string, got ['x']",
+    ),
 }
 
 
