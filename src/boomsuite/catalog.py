@@ -525,4 +525,3 @@ def load_mission(path: str | Path) -> MissionConfig:
         for name, reader in fields.items()
     }
     return MissionConfig(**kwargs)
-

@@ -315,7 +315,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     catalog, mission = _load_inputs(args)
     # The bundled far- and near-field profiles feed both the matrices and,
-    # unless --far-profile/--near-profile name other files, the selection.
+    # unless --far-profile/--near-profile name other profiles, the selection.
     sections = [_matrix_section(catalog, _load_profile("modality"), args.format)]
     far_profile = _load_profile("far_field")
     sections.append(_matrix_section(catalog, far_profile, args.format, title="Far-Field Matrix"))
@@ -329,9 +329,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     _, coverage = _coverage(spec, mission)
     sections.append(coverage_table(coverage, args.format, title="Cross-Section Coverage"))
 
-    if args.far_profile:
+    if (args.far_profile or "far_field") != "far_field":
         far_profile = _load_profile(args.far_profile)
-    if args.near_profile:
+    if (args.near_profile or "near_field") != "near_field":
         near_profile = _load_profile(args.near_profile)
     rules = _default_rules(mission, far_profile, near_profile, args)
     suite, section = _selection(catalog, mission, rules, args.format)

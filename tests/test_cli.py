@@ -224,6 +224,15 @@ def test_report_parses_each_file_once(capsys, monkeypatch, tmp_path):
     assert len(parsed) == 7 and parsed.count("near.profile") == 1
 
 
+def test_report_reuses_the_bundled_profiles_its_flags_name(capsys, monkeypatch):
+    parsed = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: parsed.append(stream.name) or load(stream, Loader=Loader))
+    code, _, _ = run(capsys, "report", "--preset", "paper", "--far-profile", "far_field", "--near-profile", "near_field")
+    assert code == 0
+    assert len(parsed) == len(set(parsed)) == 6
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
