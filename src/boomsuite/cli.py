@@ -136,8 +136,8 @@ def _default_rules(
 
 
 def _matrix_section(catalog: Catalog, profile: ScoringProfile, fmt: str, title: str | None = None) -> str:
-    """The modality overview or gated decision matrix ``profile`` stages,
-    titled by its stage unless ``title`` is given."""
+    """The modality overview or the gated decision matrix, as the
+    profile's stage asks, titled after the stage unless ``title`` is given."""
     from .reporting import decision_matrix_table, modality_overview_table
     from .scoring import Stage, gate_requirements, modality_table, score_matrix
 
