@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, TypeVar
 
 from .errors import ConfigError, ValidationError
 
@@ -58,13 +58,6 @@ class Ordinal(enum.IntEnum):
     LOW = 0
     MID = 1
     HIGH = 2
-
-    @classmethod
-    def from_word(cls, word: str) -> "Ordinal":
-        try:
-            return cls[word.upper()]
-        except KeyError:
-            raise ValueError(f"expected low/mid/high, got {word!r}") from None
 
     @property
     def word(self) -> str:
@@ -221,26 +214,13 @@ class MissionConfig:
     tube_width: float
 
     def __post_init__(self) -> None:
-        positives = (
-            "boom_length",
-            "boom_count",
-            "boom_linear_density",
-            "gravity",
-            "gripper_mass",
-            "gripper_pulloff",
-            "critical_buckling_moment",
-            "overall_mass_budget",
-            "instrument_mass",
-            "tube_depth",
-            "tube_width",
-        )
-        for name in positives:
-            if getattr(self, name) <= 0:
-                raise ValidationError("mission", name, "must be strictly positive")
-        for name in ("buckling_margin", "body_sensor_fraction"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ValidationError("mission", name, "must be a fraction in (0, 1)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("buckling_margin", "body_sensor_fraction"):
+                if not 0 < value < 1:
+                    raise ValidationError("mission", f.name, "must be a fraction in (0, 1)")
+            elif not value > 0:
+                raise ValidationError("mission", f.name, "must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -382,12 +362,23 @@ def _integer(value: Any, subject: str, field_name: str) -> int:
 
 
 def _ordinal(value: Any, subject: str, field_name: str) -> Ordinal:
-    if not isinstance(value, str):
-        raise ValidationError(subject, field_name, f"expected low/mid/high, got {value!r}")
-    try:
-        return Ordinal.from_word(value)
-    except ValueError as exc:
-        raise ValidationError(subject, field_name, str(exc)) from None
+    """A grade word, in any letter case: ``low``, ``mid`` or ``high``."""
+    if isinstance(value, str) and value.upper() in Ordinal.__members__:
+        return Ordinal[value.upper()]
+    raise ValidationError(subject, field_name, f"expected low/mid/high, got {value!r}")
+
+
+_E = TypeVar("_E", bound=enum.Enum)
+
+
+def _enum(value: Any, kind: type[_E], subject: str, field_name: str) -> _E:
+    """The member of ``kind`` whose value is the string ``value``."""
+    if isinstance(value, str):
+        for member in kind:
+            if member.value == value:
+                return member
+    allowed = ", ".join(m.value for m in kind)
+    raise ValidationError(subject, field_name, f"must be one of: {allowed}; got {value!r}")
 
 
 def _parse_resolution(raw: Any, subject: str) -> PixelGrid | ScanPattern:
@@ -417,14 +408,8 @@ def _parse_resolution(raw: Any, subject: str) -> PixelGrid | ScanPattern:
 
 
 def _parse_sensor(raw: Any) -> SensorRecord:
-    if not isinstance(raw, Mapping):
-        raise ValidationError("<sensor>", "entry", "expected a mapping per sensor")
+    raw = _mapping(raw, "<sensor>", "entry")
     sensor_id = _text(_require(raw, "id", "<sensor>"), "<sensor>", "id")
-    try:
-        modality = Modality(str(_require(raw, "modality", sensor_id)))
-    except ValueError:
-        allowed = ", ".join(m.value for m in Modality)
-        raise ValidationError(sensor_id, "modality", f"must be one of: {allowed}") from None
 
     resolution = None
     if raw.get("resolution") is not None:
@@ -465,7 +450,7 @@ def _parse_sensor(raw: Any) -> SensorRecord:
     return SensorRecord(
         id=sensor_id,
         name=sensor_id if raw.get("name") is None else _text(raw["name"], sensor_id, "name"),
-        modality=modality,
+        modality=_enum(_require(raw, "modality", sensor_id), Modality, sensor_id, "modality"),
         mass=_number(_require(raw, "mass", sensor_id), sensor_id, "mass"),
         price=_number(_require(raw, "price", sensor_id), sensor_id, "price"),
         resolution=resolution,
@@ -491,37 +476,18 @@ def load_catalog(path: str | Path) -> Catalog:
     Raises ConfigError on unreadable/unparseable files and
     ValidationError (naming sensor id and field) on invariant violations.
     """
-    doc = _read_yaml(path)
-    if not isinstance(doc, Mapping) or "sensors" not in doc:
-        raise ValidationError("catalog", "sensors", "top-level 'sensors' list is required")
-    raw_sensors = doc["sensors"]
-    if not isinstance(raw_sensors, list) or not raw_sensors:
-        raise ValidationError("catalog", "sensors", "must be a non-empty list")
+    doc = _mapping(_read_yaml(path), "catalog", "file")
+    raw_sensors = _list(_require(doc, "sensors", "catalog"), "catalog", "sensors")
     return Catalog(tuple(_parse_sensor(raw) for raw in raw_sensors))
 
 
 def load_mission(path: str | Path) -> MissionConfig:
-    """Load and validate a mission configuration file."""
-    doc = _read_yaml(path)
-    if not isinstance(doc, Mapping):
-        raise ValidationError("mission", "file", "expected a mapping of mission fields")
-    fields = {
-        "boom_length": _number,
-        "boom_count": _integer,
-        "boom_linear_density": _number,
-        "gravity": _number,
-        "gripper_mass": _number,
-        "gripper_pulloff": _number,
-        "critical_buckling_moment": _number,
-        "buckling_margin": _number,
-        "overall_mass_budget": _number,
-        "instrument_mass": _number,
-        "body_sensor_fraction": _number,
-        "tube_depth": _number,
-        "tube_width": _number,
-    }
-    kwargs: dict[str, Any] = {
-        name: reader(_require(doc, name, "mission"), "mission", name)
-        for name, reader in fields.items()
-    }
+    """Load and validate a mission configuration file: every field of
+    MissionConfig is required, read as an integer where it is annotated
+    ``int`` and as a number otherwise."""
+    doc = _mapping(_read_yaml(path), "mission", "file")
+    kwargs: dict[str, Any] = {}
+    for f in fields(MissionConfig):
+        reader = _integer if f.type == "int" else _number
+        kwargs[f.name] = reader(_require(doc, f.name, "mission"), "mission", f.name)
     return MissionConfig(**kwargs)

@@ -80,7 +80,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="table", help="output format")
     parser.add_argument("--preset", choices=["paper"], help="use the bundled reference fixtures")
     parser.add_argument("--catalog", help="sensor catalog file")
-    parser.add_argument("--mission", help="mission configuration file")
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[Catalog, MissionConfig]:
@@ -157,15 +156,18 @@ def _coverage(
     spec: MountSpec, mission: MissionConfig, depth: float | None = None, width: float | None = None
 ) -> tuple[TubeSection, CoverageReport]:
     """The analysis slice, with ``depth``/``width`` overriding the mounts
-    file's or the mission's, and what the body mounts see of it."""
+    file's or the mission's but not the body's height or offset, and what
+    the body mounts see of it."""
+    from dataclasses import replace
+
     from .geometry import TubeSection, section_coverage
 
     tube = spec.analysis_tube or TubeSection(depth=mission.tube_depth, width=mission.tube_width)
-    if depth is not None or width is not None:
-        tube = TubeSection(
-            depth=depth if depth is not None else tube.depth,
-            width=width if width is not None else tube.width,
-        )
+    tube = replace(
+        tube,
+        depth=tube.depth if depth is None else depth,
+        width=tube.width if width is None else width,
+    )
     if not spec.body_mounts:
         raise TradeStudyError("mount specification lists no body mounts")
     return tube, section_coverage(list(spec.body_mounts), tube, mission.boom_length)
@@ -363,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_budget = sub.add_parser("budget", help="mass and buckling budget report")
     _add_common(p_budget)
+    p_budget.add_argument("--mission", help="mission configuration file")
     p_budget.add_argument("--mounts", help="mount specification file")
     p_budget.add_argument("--body-mass", type=_finite_float, help="body sensor mass to check, kg")
     p_budget.add_argument("--distal-mass", type=_finite_float, help="boom-tip sensor mass to check, kg")
@@ -370,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser("coverage", help="cross-section coverage and stage plan")
     _add_common(p_cov)
+    p_cov.add_argument("--mission", help="mission configuration file")
     p_cov.add_argument("--mounts", help="mount specification file")
     p_cov.add_argument("--tube-depth", type=_finite_float, help="override analysis tube depth, m")
     p_cov.add_argument("--tube-width", type=_finite_float, help="override analysis tube width, m")
@@ -390,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select", help="choose the best feasible sensor suite")
     _add_common(p_select)
+    p_select.add_argument("--mission", help="mission configuration file")
     add_select_flags(p_select)
     p_select.add_argument(
         "--sweep",
@@ -401,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="bundle every analysis into one report")
     _add_common(p_report)
+    p_report.add_argument("--mission", help="mission configuration file")
     p_report.add_argument("--mounts", help="mount specification file")
     add_select_flags(p_report)
     p_report.set_defaults(func=cmd_report)

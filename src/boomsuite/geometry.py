@@ -52,8 +52,7 @@ RESOLVABLE_FOOTPRINT_MM2 = 25.0
 # no scoring credit, though coverage feasibility still uses true range.
 FAR_RANGE_CREDIT_CAP_M = 20.0
 
-# strategy_recommend defaults; both are tunable judgment thresholds, not
-# measured constants.
+# strategy_recommend's thresholds: judgment calls, not measured constants.
 TWO_STAGE_BOOM_THRESHOLD_M = 5.0
 TWO_STAGE_CLEARANCE_FACTOR = 2.0
 
@@ -77,7 +76,8 @@ class Footprint:
 class TubeSection:
     """Rectangular tube cross-section with a point body inside it.
 
-    ``body_height`` is height above the floor (defaults to mid-depth),
+    ``body_height`` is height above the floor; None, the default, keeps
+    the body at mid-depth, also in a copy with another depth.
     ``body_offset`` is lateral offset from the centerline.
     """
 
@@ -89,12 +89,16 @@ class TubeSection:
     def __post_init__(self) -> None:
         if self.depth <= 0 or self.width <= 0:
             raise ValueError("tube depth and width must be > 0 m")
-        if self.body_height is None:
-            object.__setattr__(self, "body_height", self.depth / 2.0)
-        if not 0 < self.body_height < self.depth:
+        if not 0 < self.body_point[1] < self.depth:
             raise ValueError("body height must be strictly inside (0, depth)")
         if not abs(self.body_offset) < self.width / 2.0:
             raise ValueError("body offset must be strictly inside the walls")
+
+    @property
+    def body_point(self) -> tuple[float, float]:
+        """The body's lateral offset and its height above the floor."""
+        height = self.depth / 2.0 if self.body_height is None else self.body_height
+        return self.body_offset, height
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,7 @@ def _closest_angle_in(segment: tuple[float, float], target: float) -> float:
 def _surface_spans(tube: TubeSection) -> dict[str, tuple[float, float]]:
     """Angular span each surface subtends from the body point."""
     w = tube.width / 2.0
-    x0, y0 = tube.body_offset, tube.body_height
+    x0, y0 = tube.body_point
     th_se = math.degrees(math.atan2(-y0, w - x0))          # (-90, 0)
     th_sw = math.degrees(math.atan2(-y0, -w - x0))         # (-180, -90)
     th_ne = math.degrees(math.atan2(tube.depth - y0, w - x0))    # (0, 90)
@@ -293,7 +297,7 @@ def _surface_spans(tube: TubeSection) -> dict[str, tuple[float, float]]:
 def _surface_distance(surface: str, tube: TubeSection, angle_deg: float) -> float:
     """Slant distance from the body to the surface along a direction."""
     w = tube.width / 2.0
-    x0, y0 = tube.body_offset, tube.body_height
+    x0, y0 = tube.body_point
     rad = math.radians(angle_deg)
     if surface == "floor":
         return y0 / -math.sin(rad)
@@ -427,22 +431,17 @@ def near_anchor_usable(sensor: SensorRecord, boom_length_m: float) -> bool:
     return sensor.range_min < threshold and sensor.range_max != threshold
 
 
-def strategy_recommend(
-    boom_length_m: float,
-    tube: TubeSection,
-    boom_threshold_m: float = TWO_STAGE_BOOM_THRESHOLD_M,
-    clearance_factor: float = TWO_STAGE_CLEARANCE_FACTOR,
-) -> Strategy:
+def strategy_recommend(boom_length_m: float, tube: TubeSection) -> Strategy:
     """Pick one- vs two-stage sensing.
 
-    Long booms (at or above the threshold, inclusive) or generous
-    clearance (smallest tube dimension at least clearance_factor * L)
+    Long booms (at least TWO_STAGE_BOOM_THRESHOLD_M) or generous clearance
+    (smallest tube dimension at least TWO_STAGE_CLEARANCE_FACTOR * L)
     favor two stages; cramped short-boom work favors one.
     """
     if boom_length_m <= 0:
         raise ValueError("boom length must be > 0 m")
-    if boom_length_m >= boom_threshold_m:
+    if boom_length_m >= TWO_STAGE_BOOM_THRESHOLD_M:
         return Strategy.TWO_STAGE
-    if min(tube.depth, tube.width) >= clearance_factor * boom_length_m:
+    if min(tube.depth, tube.width) >= TWO_STAGE_CLEARANCE_FACTOR * boom_length_m:
         return Strategy.TWO_STAGE
     return Strategy.ONE_STAGE

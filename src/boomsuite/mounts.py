@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
-from .catalog import Catalog, SensorRecord, _boolean, _list, _mapping, _number, _read_yaml, _require
+from .catalog import Catalog, SensorRecord, _boolean, _list, _mapping, _number, _read_yaml, _require, _text
 from .errors import ValidationError
 from .geometry import Mount, TubeSection
 
@@ -38,18 +38,17 @@ def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
     doc = _mapping(_read_yaml(path), "mounts", "file")
 
     def sensor(sensor_id: Any) -> SensorRecord:
-        sid = str(sensor_id)
+        sid = _text(sensor_id, "mounts", "sensor")
         if sid not in catalog:
             raise ValidationError("mounts", "sensor", f"unknown sensor id {sid!r}")
         return catalog.get(sid)
 
     mounts = []
     for raw in _list(doc.get("body_mounts"), "mounts", "body_mounts"):
-        if not isinstance(raw, Mapping) or "sensor" not in raw:
-            raise ValidationError("mounts", "body_mounts", "each entry needs a sensor id")
+        raw = _mapping(raw, "mounts", "body_mounts")
         mounts.append(
             Mount(
-                sensor=sensor(raw["sensor"]),
+                sensor=sensor(_require(raw, "sensor", "mounts")),
                 tilt_deg=_number(raw.get("tilt_deg", 0.0), "mounts", "body_mounts.tilt_deg"),
                 spinning=_boolean(raw.get("spinning", False), "mounts", "body_mounts.spinning"),
             )

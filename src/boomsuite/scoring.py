@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .catalog import (
-    Catalog, Modality, Ordinal, PixelGrid, SensorRecord, _boolean, _list, _mapping, _number, _read_yaml,
+    Catalog, Modality, Ordinal, PixelGrid, SensorRecord,
+    _boolean, _enum, _list, _mapping, _number, _read_yaml, _text,
 )
 from .errors import ScoringError, ValidationError
 
@@ -185,7 +186,7 @@ class ScoringProfile:
             )
         for sensor_id, cells in self.overrides.items():
             for crit, value in cells.items():
-                if value not in (0, 1, 2):
+                if type(value) is not int or value not in (0, 1, 2):  # True and 1.0 too
                     raise ValidationError(sensor_id, crit.value, "override must be 0, 1 or 2")
 
     def criterion(self, name: CriterionName) -> Criterion:
@@ -347,8 +348,8 @@ def modality_table(
 def _parse_bin(raw: Any, subject: str) -> BinRule:
     raw = _mapping(raw, subject, "bin")
     if "ordinal_field" in raw:
-        return BinRule(ordinal_field=str(raw["ordinal_field"]))
-    kwargs: dict[str, Any] = {"quantity": str(raw.get("quantity", ""))}
+        return BinRule(ordinal_field=_text(raw["ordinal_field"], subject, "bin.ordinal_field"))
+    kwargs: dict[str, Any] = {"quantity": _text(raw.get("quantity"), subject, "bin.quantity")}
     for key in ("high", "low"):
         if raw.get(key) is not None:
             kwargs[key] = _number(raw[key], subject, f"bin.{key}")
@@ -361,55 +362,33 @@ def _parse_bin(raw: Any, subject: str) -> BinRule:
 def load_profile(path: str | Path) -> ScoringProfile:
     """Load a scoring profile file (criteria, weights, bins, overrides)."""
     doc = _mapping(_read_yaml(path), "profile", "file")
+    stage = _enum(doc.get("stage"), Stage, "profile", "stage")
 
-    try:
-        stage = Stage(str(doc.get("stage")))
-    except ValueError:
-        allowed = ", ".join(s.value for s in Stage)
-        raise ValidationError("profile", "stage", f"must be one of: {allowed}") from None
-
-    raw_criteria = doc.get("criteria")
-    if not isinstance(raw_criteria, list):
-        raise ValidationError(stage.value, "criteria", "expected a list")
     criteria = []
-    for raw in raw_criteria:
+    for raw in _list(doc.get("criteria"), stage.value, "criteria"):
         raw = _mapping(raw, stage.value, "criteria")
-        try:
-            name = CriterionName(str(raw.get("name")))
-        except ValueError:
-            allowed = ", ".join(c.value for c in CriterionName)
-            raise ValidationError(stage.value, "criteria.name", f"must be one of: {allowed}") from None
-        try:
-            kind = CriterionKind(str(raw.get("kind", "objective")))
-        except ValueError:
-            raise ValidationError(name.value, "kind", "must be requirement/objective/both") from None
-        weight = raw.get("weight")
-        if isinstance(weight, bool) or not isinstance(weight, int):
-            raise ValidationError(name.value, "weight", "must be a non-negative integer")
-        criteria.append(Criterion(name=name, kind=kind, weight=weight, bins=_parse_bin(raw.get("bin"), name.value)))
+        name = _enum(raw.get("name"), CriterionName, stage.value, "criteria.name")
+        kind = _enum(raw.get("kind", "objective"), CriterionKind, name.value, "kind")
+        bins = _parse_bin(raw.get("bin"), name.value)
+        criteria.append(Criterion(name=name, kind=kind, weight=raw.get("weight"), bins=bins))
 
     overrides: dict[str, dict[CriterionName, int]] = {}
     for sensor_id, cells in _mapping(doc.get("overrides") or {}, stage.value, "overrides").items():
-        if not isinstance(cells, Mapping):
-            raise ValidationError(str(sensor_id), "overrides", "expected criterion->score mapping")
-        parsed: dict[CriterionName, int] = {}
-        for crit_name, value in cells.items():
-            try:
-                crit = CriterionName(str(crit_name))
-            except ValueError:
-                raise ValidationError(str(sensor_id), str(crit_name), "unknown criterion") from None
-            if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1, 2):
-                raise ValidationError(str(sensor_id), crit.value, "override must be 0, 1 or 2")
-            parsed[crit] = value
-        overrides[str(sensor_id)] = parsed
+        sensor_id = _text(sensor_id, stage.value, "overrides")
+        overrides[sensor_id] = {
+            _enum(crit_name, CriterionName, sensor_id, "overrides"): value
+            for crit_name, value in _mapping(cells, sensor_id, "overrides").items()
+        }
 
     modalities = None
     if doc.get("modalities") is not None:
-        modalities = tuple(Modality(str(m)) for m in _list(doc["modalities"], stage.value, "modalities"))
+        raw_modalities = _list(doc["modalities"], stage.value, "modalities")
+        modalities = tuple(_enum(m, Modality, stage.value, "modalities") for m in raw_modalities)
 
-    exemplars: dict[Modality, str] = {}
-    for mod_name, sensor_id in _mapping(doc.get("exemplars") or {}, stage.value, "exemplars").items():
-        exemplars[Modality(str(mod_name))] = str(sensor_id)
+    exemplars = {
+        _enum(mod_name, Modality, stage.value, "exemplars"): _text(sensor_id, stage.value, "exemplars")
+        for mod_name, sensor_id in _mapping(doc.get("exemplars") or {}, stage.value, "exemplars").items()
+    }
 
     return ScoringProfile(
         stage=stage,

@@ -1,9 +1,11 @@
 """Catalog/mission loading and validation."""
 
+import copy
 import math
 import os
 import subprocess
 import sys
+from collections.abc import Hashable
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from boomsuite.catalog import (
 from boomsuite.errors import ConfigError, ValidationError
 from boomsuite.mounts import load_mounts
 from boomsuite.scoring import load_profile
+from test_fuzz_cli import SAMPLES
 
 EXPECTED_IDS = (
     "rsbpearl",
@@ -263,3 +266,97 @@ def test_infinite_range_allowed_in_code():
         range_min=0.0, range_max=math.inf,
     )
     assert Catalog((s,)).get("omni").range_max == math.inf
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(*path):
+    """Put a value at ``path`` in a parsed fixture."""
+    return lambda doc, value: _at(doc, path[:-1]).__setitem__(path[-1], value)
+
+
+def _rename(*path):
+    """Put a value in place of the mapping key at ``path``."""
+    def rename(doc, value):
+        node = _at(doc, path[:-1])
+        node[value] = node.pop(path[-1])
+    return rename
+
+
+def _load_mounts(path):
+    return load_mounts(path, load_catalog(bundled_path("paper_catalog.yaml")))
+
+
+# Every field read with the typed enum or text reader: the fixture, how to
+# put a value there, the ``subject.field:`` its errors start with, the one
+# an unknown string's error starts with (None: any string is valid), a
+# valid string and where the loaded result holds what was read.
+TYPED_FIELDS = {
+    "sensor.modality": ("paper_catalog.yaml", load_catalog, _set("sensors", 0, "modality"), "rsbpearl.modality:",
+                        "rsbpearl.modality:", "radar", lambda c: [c.get("rsbpearl").modality.value]),
+    "profile.stage": ("far_field.profile", load_profile, _set("stage"), "profile.stage:", "profile.stage:",
+                      "near_field", lambda p: [p.stage.value]),
+    "criterion.name": ("far_field.profile", load_profile, _set("criteria", 0, "name"), "far_field.criteria.name:",
+                       "far_field.criteria.name:", "resolution", lambda p: [p.criteria[0].name.value]),
+    "criterion.kind": ("far_field.profile", load_profile, _set("criteria", 0, "kind"), "resolution.kind:",
+                       "resolution.kind:", "objective", lambda p: [p.criteria[0].kind.value]),
+    "bin.quantity": ("far_field.profile", load_profile, _set("criteria", 0, "bin", "quantity"),
+                     "resolution.bin.quantity:", "bin.quantity:", "mass_g", lambda p: [p.criteria[0].bins.quantity]),
+    "bin.ordinal_field": ("far_field.profile", load_profile, _set("criteria", 4, "bin", "ordinal_field"),
+                          "darkness.bin.ordinal_field:", "bin.ordinal_field:", "dust_robust",
+                          lambda p: [p.criteria[4].bins.ordinal_field]),
+    "overrides.sensor": ("far_field.profile", load_profile, _rename("overrides", "rsbpearl"), "far_field.overrides:",
+                         None, "sonar_x", lambda p: list(p.overrides)),
+    "overrides.criterion": ("far_field.profile", load_profile, _rename("overrides", "rsbpearl", "resolution"),
+                            "rsbpearl.overrides:", "rsbpearl.overrides:", "fov",
+                            lambda p: [c.value for c in p.overrides["rsbpearl"]]),
+    "modalities": ("far_field.profile", load_profile, _set("modalities", 0), "far_field.modalities:",
+                   "far_field.modalities:", "radar", lambda p: [m.value for m in p.modalities]),
+    "exemplars.modality": ("modality.profile", load_profile, _rename("exemplars", "lidar"),
+                           "modality_overview.exemplars:", "modality_overview.exemplars:", "sonar",
+                           lambda p: [m.value for m in p.exemplars]),
+    "exemplars.sensor": ("modality.profile", load_profile, _set("exemplars", "lidar"), "modality_overview.exemplars:",
+                         None, "os1_32", lambda p: list(p.exemplars.values())),
+    "body_mounts.sensor": ("paper_mounts.yaml", _load_mounts, _set("body_mounts", 0, "sensor"), "mounts.sensor:",
+                           "mounts.sensor:", "os1_32", lambda s: [m.sensor.id for m in s.body_mounts]),
+    "body_axial_sensors": ("paper_mounts.yaml", _load_mounts, _set("body_axial_sensors", 0), "mounts.sensor:",
+                           "mounts.sensor:", "xm132", lambda s: [u.id for u in s.body_axial]),
+    "distal_sensors": ("paper_mounts.yaml", _load_mounts, _set("distal_sensors", 0), "mounts.sensor:",
+                       "mounts.sensor:", "zed2", lambda s: [u.id for u in s.distal]),
+}
+# Fields that are mapping keys; a list or mapping cannot be a YAML key.
+KEY_FIELDS = {"overrides.sensor", "overrides.criterion", "exemplars.modality"}
+
+# The non-string values the CLI fuzz test draws, with one of each of its
+# numeric draws: a NaN, an infinity, a negative float and an integer.
+NON_STRINGS = [v for v in SAMPLES if not isinstance(v, str)] + [math.nan, -math.inf, -2.5, 16]
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_FIELDS))
+def test_typed_field_rejects_non_strings_and_reads_strings_back(tmp_path, case):
+    fixture, loader, put, prefix, unknown_prefix, valid, read = TYPED_FIELDS[case]
+    path = tmp_path / fixture
+
+    def load_with(value):
+        doc = yaml.safe_load(bundled_path(fixture).read_text(encoding="utf-8"))
+        put(doc, value)
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        return loader(path)
+
+    for value in NON_STRINGS:
+        if case in KEY_FIELDS and not isinstance(value, Hashable):
+            continue
+        with pytest.raises(ValidationError) as exc:
+            load_with(copy.deepcopy(value))
+        assert str(exc.value).startswith(prefix + " "), (value, str(exc.value))
+    assert valid in read(load_with(valid))
+    if unknown_prefix is None:
+        assert "bogus" in read(load_with("bogus"))
+    else:
+        with pytest.raises(ValidationError) as exc:
+            load_with("bogus")
+        assert str(exc.value).startswith(unknown_prefix + " "), str(exc.value)

@@ -288,6 +288,33 @@ def test_coverage_plans_against_the_longest_range_tip_sensor(capsys, tmp_path):
     assert "stage plan: far=vlp16 near=zed2" in out
 
 
+def test_tube_flags_keep_the_body_where_the_mounts_file_puts_it(capsys, tmp_path):
+    """--tube-depth/--tube-width replace only the slice's depth and width:
+    a body the file puts 2 m off the floor stays there, and one it leaves
+    out stays at mid-depth of the new slice."""
+    low_body = _mutated(
+        tmp_path, "paper_mounts.yaml",
+        lambda d: d.__setitem__("analysis_tube", {"depth": 30, "width": 30, "body_height": 2}),
+    )
+    argv = ["coverage", "--preset", "paper", "--mounts", low_body, "--format", "csv"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.endswith("not visible: ceiling\n")
+    assert run(capsys, *argv, "--tube-width", "30") == (code, out, "")
+
+    deeper = _mutated(tmp_path, "paper_mounts.yaml", lambda d: d["analysis_tube"].__setitem__("depth", 40))
+    expected = run(capsys, "coverage", "--preset", "paper", "--mounts", deeper)
+    assert expected[0] == 0
+    assert run(capsys, "coverage", "--preset", "paper", "--tube-depth", "40") == expected
+
+
+def test_evaluate_takes_no_mission_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--preset", "paper", "--mission", "x.yaml"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mission x.yaml" in capsys.readouterr().err
+
+
 # Bad input of each kind: the command must exit 2 with an ``error:`` line
 # naming the flag or the file field, never a traceback or a wrong result.
 DEFECTS = {
@@ -415,6 +442,29 @@ DEFECTS = {
             _mutated(tmp, "paper_catalog.yaml", _set_first_sensor("aliases", ["RS-Pearl", ["x"]])),
         ],
         "error: rsbpearl.aliases: expected a string, got ['x']",
+    ),
+    "profile-modality-unknown": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d.__setitem__("modalities", ["lidar", "bogus"])),
+        ],
+        "error: far_field.modalities: must be one of: lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
+    ),
+    "exemplar-modality-unknown": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "modality.profile", lambda d: d["exemplars"].__setitem__("bogus", "vlp16")),
+        ],
+        "error: modality_overview.exemplars: must be one of: lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
+    ),
+    "mounts-sensor-id-is-a-number": (
+        # the catalog's id is the string "16"; the mounts file's is the number 16
+        lambda tmp: [
+            "coverage", "--preset", "paper",
+            "--catalog", _mutated(tmp, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("id", "16")),
+            "--mounts", _mutated(tmp, "paper_mounts.yaml", lambda d: [m.__setitem__("sensor", 16) for m in d["body_mounts"]]),
+        ],
+        "error: mounts.sensor: expected a string, got 16",
     ),
 }
 

@@ -50,11 +50,10 @@ VALUE_FLAGS["report"] = VALUE_FLAGS["select"]
 # What a mutated field may become: other types, non-finite and negative
 # numbers, and well-typed values out of place (another sensor id, grade or
 # modality).  Containers are copied, since a later mutation may edit them.
+SAMPLES = [None, "text", "", True, [], {}, [1, "a"], {"a": 1}, "vlp16", "zed2", "high", "low", "lidar",
+           "camera2d", "requirement", 1e-300, 1e308]
 VALUES = st.one_of(
-    st.sampled_from(
-        [None, "text", "", True, [], {}, [1, "a"], {"a": 1}, "vlp16", "zed2", "high", "low", "lidar",
-         "camera2d", "requirement", 1e-300, 1e308]
-    ).map(copy.deepcopy),
+    st.sampled_from(SAMPLES).map(copy.deepcopy),
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(-100, 100),
     st.integers(-3, 100),

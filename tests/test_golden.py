@@ -10,6 +10,8 @@ to alter an output regenerates the file and says so:
 import contextlib
 import io
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -19,17 +21,22 @@ import yaml
 from boomsuite.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 FORMATS = ("table", "csv", "md")
+
+
+def _readme_blocks(language: str) -> list[str]:
+    """The bodies of README's fenced code blocks in ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+# Each ``boomsuite`` line of README's sh blocks, without that word and
+# without its ``#`` comment.
 README_COMMANDS = [
-    ["evaluate", "--preset", "paper", "--profile", "far_field"],
-    ["evaluate", "--preset", "paper", "--profile", "modality"],
-    ["budget", "--preset", "paper"],
-    ["coverage", "--preset", "paper"],
-    ["coverage", "--preset", "paper", "--tube-width", "300"],
-    ["select", "--preset", "paper"],
-    ["select", "--preset", "paper", "--redundancy"],
-    ["select", "--preset", "paper", "--sweep", "affordability", "0", "4"],
-    ["report", "--preset", "paper"],
+    shlex.split(line, comments=True)[1:]
+    for block in _readme_blocks("sh")
+    for line in block.splitlines()
+    if line.startswith("boomsuite ")
 ]
 COMMANDS = [argv + ["--format", fmt] for argv in README_COMMANDS for fmt in FORMATS]
 
@@ -48,6 +55,16 @@ def _expected() -> dict[str, dict]:
 
 def test_golden_file_covers_every_command():
     assert sorted(_expected()) == sorted(" ".join(argv) for argv in COMMANDS)
+
+
+def test_readme_quick_start_prints_what_it_says():
+    (block,) = _readme_blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    _, tip_budget, fov = out.getvalue().splitlines()
+    assert round(float(tip_budget), 4) == 0.7295
+    assert float(fov) == 120.0
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)

@@ -75,6 +75,13 @@ def test_bin_rule_rejects_overlapping_regions():
         BinRule()
 
 
+@pytest.mark.parametrize("value", [True, 1.0, 3, -1, None])
+def test_profile_rejects_an_override_that_is_not_0_1_or_2(far_profile, value):
+    with pytest.raises(ValidationError) as exc:
+        replace(far_profile, overrides={"vlp16": {CriterionName.RANGE: value}})
+    assert str(exc.value) == "vlp16.range: override must be 0, 1 or 2"
+
+
 # ---------------------------------------------------------------------------
 # score_matrix reproductions
 
