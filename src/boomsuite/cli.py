@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import NoFeasibleSuiteError, TradeStudyError
+from .errors import NoFeasibleSuiteError, TradeStudyError, fields_of
 from .reporting import FORMATS
 
 if TYPE_CHECKING:
@@ -73,6 +73,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a length: a finite float above zero."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -163,11 +171,13 @@ def _coverage(
     from .geometry import TubeSection, section_coverage
 
     tube = spec.analysis_tube or TubeSection(depth=mission.tube_depth, width=mission.tube_width)
-    tube = replace(
-        tube,
-        depth=tube.depth if depth is None else depth,
-        width=tube.width if width is None else width,
-    )
+    # the flags are positive, so only the file's body position can fall outside
+    with fields_of("mounts.analysis_tube"):
+        tube = replace(
+            tube,
+            depth=tube.depth if depth is None else depth,
+            width=tube.width if width is None else width,
+        )
     if not spec.body_mounts:
         raise TradeStudyError("mount specification lists no body mounts")
     return tube, section_coverage(list(spec.body_mounts), tube, mission.boom_length)
@@ -239,7 +249,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             if fov is None:
                 continue
             vfov = fov.vertical_deg if fov.vertical_deg is not None else fov.horizontal_deg
-            eff = effective_vertical_fov(vfov, abs(mount.tilt_deg), mount.spinning)
+            # the catalog allows up to 360; a mount delivers at most 180
+            eff = effective_vertical_fov(min(vfov, 180.0), abs(mount.tilt_deg), mount.spinning)
             kind = "spinning" if mount.spinning else "static"
             lines.append(
                 f"{mount.sensor.id} at {fmt_num(mount.tilt_deg)} deg ({kind}): "
@@ -375,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cov)
     p_cov.add_argument("--mission", help="mission configuration file")
     p_cov.add_argument("--mounts", help="mount specification file")
-    p_cov.add_argument("--tube-depth", type=_finite_float, help="override analysis tube depth, m")
-    p_cov.add_argument("--tube-width", type=_finite_float, help="override analysis tube width, m")
+    p_cov.add_argument("--tube-depth", type=_positive_float, help="override analysis tube depth, m")
+    p_cov.add_argument("--tube-width", type=_positive_float, help="override analysis tube width, m")
     p_cov.set_defaults(func=cmd_coverage)
 
     def add_select_flags(p: argparse.ArgumentParser) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 
 class TradeStudyError(Exception):
     """Base class for all boomsuite errors."""
@@ -11,7 +14,7 @@ class ConfigError(TradeStudyError):
     """A configuration file is missing or cannot be parsed."""
 
 
-class ValidationError(TradeStudyError):
+class ValidationError(TradeStudyError, ValueError):
     """A loaded record violates an invariant.
 
     Always names the offending subject (sensor id, 'mission', profile
@@ -21,7 +24,19 @@ class ValidationError(TradeStudyError):
     def __init__(self, subject: str, field: str, message: str) -> None:
         self.subject = subject
         self.field = field
+        self.message = message
         super().__init__(f"{subject}.{field}: {message}")
+
+
+@contextmanager
+def fields_of(subject: str) -> Iterator[None]:
+    """Rename the subject of a ValidationError raised inside: a record's
+    range rule knows the field, the file it came from knows where the
+    record sits."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(subject, exc.field, exc.message) from None
 
 
 class ScoringError(TradeStudyError):

@@ -9,6 +9,12 @@ tube cross-section.
 Conventions: the cross-section is the vertical plane; direction angles
 are degrees with 0 toward +x (right), 90 up, 270 down.  The body is a
 point strictly inside the rectangle.  All functions are pure.
+
+Coverage works in each surface's own frame: the direction of its normal
+from the body, the body's distance along that normal, and how far the
+surface runs either side of the normal's foot.  A mount's covered arc
+then reduces to the covered offset nearest the normal, and a direction
+at offset phi meets the surface at distance / cos(phi).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .catalog import PixelGrid, ScanPattern, SensorRecord
+from .errors import ValidationError
 
 __all__ = [
     "RESOLVABLE_FOOTPRINT_MM2",
@@ -56,8 +63,6 @@ FAR_RANGE_CREDIT_CAP_M = 20.0
 TWO_STAGE_BOOM_THRESHOLD_M = 5.0
 TWO_STAGE_CLEARANCE_FACTOR = 2.0
 
-SURFACES = ("floor", "ceiling", "right_wall", "left_wall")
-
 
 @dataclass(frozen=True)
 class Footprint:
@@ -87,12 +92,17 @@ class TubeSection:
     body_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.depth <= 0 or self.width <= 0:
-            raise ValueError("tube depth and width must be > 0 m")
+        for name in ("depth", "width"):
+            if not getattr(self, name) > 0:
+                raise ValidationError("tube", name, "must be > 0 m")
         if not 0 < self.body_point[1] < self.depth:
-            raise ValueError("body height must be strictly inside (0, depth)")
+            raise ValidationError(
+                "tube", "body_height", f"must be strictly inside (0, depth); depth is {self.depth:g} m"
+            )
         if not abs(self.body_offset) < self.width / 2.0:
-            raise ValueError("body offset must be strictly inside the walls")
+            raise ValidationError(
+                "tube", "body_offset", f"must be strictly inside the walls at +-{self.width / 2.0:g} m"
+            )
 
     @property
     def body_point(self) -> tuple[float, float]:
@@ -113,7 +123,7 @@ class Mount:
 
     def __post_init__(self) -> None:
         if not -90 < self.tilt_deg < 90:
-            raise ValueError("mount tilt must be in (-90, 90) degrees")
+            raise ValidationError("mount", "tilt_deg", "must be in (-90, 90) degrees")
 
 
 @dataclass(frozen=True)
@@ -127,7 +137,6 @@ class SurfaceCoverage:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    tube: TubeSection
     near_field_max: float
     surfaces: dict[str, SurfaceCoverage]
 
@@ -233,82 +242,48 @@ def effective_vertical_fov(intrinsic_vfov_deg: float, tilt_deg: float, spinning:
 # cross-section coverage
 
 
-def _normalize_segments(start: float, end: float) -> list[tuple[float, float]]:
-    """Split an angular interval into segments within [0, 360]."""
-    width = end - start
-    if width <= 0:
-        return []
-    if width >= 360.0:
-        return [(0.0, 360.0)]
-    s = start % 360.0
-    e = s + width
-    if e <= 360.0:
-        return [(s, e)]
-    return [(s, 360.0), (0.0, e - 360.0)]
-
-
-def _mount_segments(mount: Mount) -> list[tuple[float, float]]:
-    """Directions (cross-section angles) covered by one mount."""
+def _mount_arcs(mount: Mount) -> list[tuple[float, float]]:
+    """Direction arcs (low, high) that one mount covers."""
     fov = mount.sensor.fov
     if fov is None:
         raise ValueError(f"{mount.sensor.id}: coverage needs a field of view")
     vfov = fov.vertical_deg if fov.vertical_deg is not None else fov.horizontal_deg
-    segments: list[tuple[float, float]] = []
     if mount.spinning:
         half = abs(mount.tilt_deg) + vfov / 2.0
-        segments += _normalize_segments(-half, half)
-        segments += _normalize_segments(180.0 - half, 180.0 + half)
-    else:
-        segments += _normalize_segments(mount.tilt_deg - vfov / 2.0, mount.tilt_deg + vfov / 2.0)
-    return segments
+        return [(-half, half), (180.0 - half, 180.0 + half)]
+    return [(mount.tilt_deg - vfov / 2.0, mount.tilt_deg + vfov / 2.0)]
 
 
-def _intersect(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float] | None:
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return (lo, hi) if hi > lo else None
-
-
-def _closest_angle_in(segment: tuple[float, float], target: float) -> float:
-    """Angle within the segment circularly closest to the target."""
-    lo, hi = segment
-    candidates = []
-    for shift in (-360.0, 0.0, 360.0):
-        t = target + shift
-        candidates.append(min(max(t, lo), hi))
-    return min(candidates, key=lambda a: min(abs(a - target) % 360.0, 360.0 - abs(a - target) % 360.0))
-
-
-def _surface_spans(tube: TubeSection) -> dict[str, tuple[float, float]]:
-    """Angular span each surface subtends from the body point."""
-    w = tube.width / 2.0
+def _surfaces(tube: TubeSection) -> list[tuple[str, float, float, float, float]]:
+    """Each surface in report order: the direction of its normal from the
+    body, the body's normal distance to it, and how far it runs before and
+    after the foot of that normal, counterclockwise."""
     x0, y0 = tube.body_point
-    th_se = math.degrees(math.atan2(-y0, w - x0))          # (-90, 0)
-    th_sw = math.degrees(math.atan2(-y0, -w - x0))         # (-180, -90)
-    th_ne = math.degrees(math.atan2(tube.depth - y0, w - x0))    # (0, 90)
-    th_nw = math.degrees(math.atan2(tube.depth - y0, -w - x0))   # (90, 180)
-    return {
-        "floor": (th_sw, th_se),
-        "ceiling": (th_ne, th_nw),
-        "right_wall": (th_se, th_ne),
-        "left_wall": (th_nw, th_sw + 360.0),
-    }
+    right, left = tube.width / 2.0 - x0, tube.width / 2.0 + x0
+    up = tube.depth - y0
+    return [
+        ("floor", 270.0, y0, left, right),
+        ("ceiling", 90.0, up, right, left),
+        ("right_wall", 0.0, right, y0, up),
+        ("left_wall", 180.0, left, up, y0),
+    ]
 
 
-def _surface_distance(surface: str, tube: TubeSection, angle_deg: float) -> float:
-    """Slant distance from the body to the surface along a direction."""
-    w = tube.width / 2.0
-    x0, y0 = tube.body_point
-    rad = math.radians(angle_deg)
-    if surface == "floor":
-        return y0 / -math.sin(rad)
-    if surface == "ceiling":
-        return (tube.depth - y0) / math.sin(rad)
-    if surface == "right_wall":
-        return (w - x0) / math.cos(rad)
-    return (w + x0) / -math.cos(rad)
-
-
-_PERPENDICULAR = {"floor": 270.0, "ceiling": 90.0, "right_wall": 0.0, "left_wall": 180.0}
+def _nearest_offset(arc: tuple[float, float], normal: float, lo: float, hi: float) -> float | None:
+    """The offset from ``normal`` nearest to it that ``arc`` covers within
+    the surface's offsets [lo, hi], or None when they share no interval."""
+    width = arc[1] - arc[0]
+    if width >= 360.0:
+        return 0.0
+    start = (arc[0] - normal + 180.0) % 360.0 - 180.0
+    best = None
+    for begin in (start, start - 360.0):
+        first, last = max(begin, lo), min(begin + width, hi)
+        if last > first:
+            offset = min(max(0.0, first), last)
+            if best is None or abs(offset) < abs(best):
+                best = offset
+    return best
 
 
 def section_coverage(
@@ -316,52 +291,40 @@ def section_coverage(
 ) -> CoverageReport:
     """Which surfaces of the cross-section the mounted sensors can see.
 
-    A surface is visible when some mount's covered directions intersect
-    the surface's angular span AND the nearest point of that intersection
-    lies within the sensor's range.  Surfaces whose span is covered but
+    A surface is visible when some mount's covered directions meet the
+    surface's angular span AND the covered point nearest the body lies
+    within the sensor's range.  Surfaces whose span is covered but
     always out of range are flagged ``beyond_range``.
     """
     if not mounts:
         raise ValueError("at least one mount is required")
-    spans = _surface_spans(tube)
+    arcs = []
+    for mount in mounts:
+        if mount.sensor.range_max is None:
+            raise ValueError(f"{mount.sensor.id}: coverage needs range_max")
+        arcs.append(_mount_arcs(mount))
     results: dict[str, SurfaceCoverage] = {}
-    for surface in SURFACES:
-        span_segments = _normalize_segments(*spans[surface])
-        covered_in_range: list[str] = []
-        covered_any = False
-        best_slant: float | None = None
-        for mount in mounts:
-            if mount.sensor.range_max is None:
-                raise ValueError(f"{mount.sensor.id}: coverage needs range_max")
-            mount_min: float | None = None
-            for seg in _mount_segments(mount):
-                for span_seg in span_segments:
-                    overlap = _intersect(seg, span_seg)
-                    if overlap is None:
-                        continue
-                    covered_any = True
-                    angle = _closest_angle_in(overlap, _PERPENDICULAR[surface])
-                    d = _surface_distance(surface, tube, angle)
-                    mount_min = d if mount_min is None else min(mount_min, d)
-            if mount_min is None:
+    for surface, normal, distance, before, after in _surfaces(tube):
+        lo = -math.degrees(math.atan2(before, distance))
+        hi = math.degrees(math.atan2(after, distance))
+        seen_by: list[str] = []
+        slants = []
+        for mount, mount_arcs in zip(mounts, arcs):
+            offsets = [_nearest_offset(arc, normal, lo, hi) for arc in mount_arcs]
+            offsets = [o for o in offsets if o is not None]
+            if not offsets:
                 continue
-            if best_slant is None or mount_min < best_slant:
-                best_slant = mount_min
-            if mount_min <= mount.sensor.range_max:
-                covered_in_range.append(mount.sensor.id)
-        visible = bool(covered_in_range)
+            slants.append(distance / math.cos(math.radians(min(offsets, key=abs))))
+            if slants[-1] <= mount.sensor.range_max:
+                seen_by.append(mount.sensor.id)
         results[surface] = SurfaceCoverage(
             surface=surface,
-            visible=visible,
-            beyond_range=covered_any and not visible,
-            min_slant_m=best_slant,
-            seen_by=tuple(dict.fromkeys(covered_in_range)),
+            visible=bool(seen_by),
+            beyond_range=bool(slants) and not seen_by,
+            min_slant_m=min(slants, default=None),
+            seen_by=tuple(dict.fromkeys(seen_by)),
         )
-    return CoverageReport(
-        tube=tube,
-        near_field_max=near_field_threshold(boom_length_m),
-        surfaces=results,
-    )
+    return CoverageReport(near_field_max=near_field_threshold(boom_length_m), surfaces=results)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Any
 
 from .catalog import Catalog, SensorRecord, _boolean, _list, _mapping, _number, _read_yaml, _require, _text
-from .errors import ValidationError
+from .errors import ValidationError, fields_of
 from .geometry import Mount, TubeSection
 
 __all__ = ["MountSpec", "load_mounts"]
@@ -46,13 +46,11 @@ def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
     mounts = []
     for raw in _list(doc.get("body_mounts"), "mounts", "body_mounts"):
         raw = _mapping(raw, "mounts", "body_mounts")
-        mounts.append(
-            Mount(
-                sensor=sensor(_require(raw, "sensor", "mounts")),
-                tilt_deg=_number(raw.get("tilt_deg", 0.0), "mounts", "body_mounts.tilt_deg"),
-                spinning=_boolean(raw.get("spinning", False), "mounts", "body_mounts.spinning"),
-            )
-        )
+        mounted = sensor(_require(raw, "sensor", "mounts"))
+        tilt = _number(raw.get("tilt_deg", 0.0), "mounts", "body_mounts.tilt_deg")
+        spinning = _boolean(raw.get("spinning", False), "mounts", "body_mounts.spinning")
+        with fields_of("mounts.body_mounts"):
+            mounts.append(Mount(sensor=mounted, tilt_deg=tilt, spinning=spinning))
 
     tube = None
     if doc.get("analysis_tube") is not None:
@@ -62,12 +60,11 @@ def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
         def length(key: str) -> float:
             return _number(_require(raw_tube, key, subject), subject, key)
 
-        tube = TubeSection(
-            depth=length("depth"),
-            width=length("width"),
-            body_height=None if raw_tube.get("body_height") is None else length("body_height"),
-            body_offset=0.0 if raw_tube.get("body_offset") is None else length("body_offset"),
-        )
+        depth, width = length("depth"), length("width")
+        height = None if raw_tube.get("body_height") is None else length("body_height")
+        offset = 0.0 if raw_tube.get("body_offset") is None else length("body_offset")
+        with fields_of(subject):
+            tube = TubeSection(depth=depth, width=width, body_height=height, body_offset=offset)
 
     return MountSpec(
         body_mounts=tuple(mounts),

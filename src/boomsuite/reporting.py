@@ -193,11 +193,10 @@ def budget_summary_lines(report: BudgetReport) -> list[str]:
 def coverage_table(report: CoverageReport, fmt: str, title: str | None = None) -> str:
     headers = ["Surface", "Visible", "Beyond Range", "Min Slant (m)", "Seen By"]
     rows = []
-    for surface in ("floor", "ceiling", "right_wall", "left_wall"):
-        cov = report.surfaces[surface]
+    for cov in report.surfaces.values():
         rows.append(
             [
-                surface,
+                cov.surface,
                 "yes" if cov.visible else "no",
                 "yes" if cov.beyond_range else "no",
                 fmt_num(cov.min_slant_m) if cov.min_slant_m is not None else "-",

@@ -89,7 +89,7 @@ def _direction_covered(mount: Mount, theta_deg: float) -> bool:
 def _ray_hit(tube: TubeSection, theta_deg: float) -> tuple[str, float]:
     """First boundary surface hit by a ray from the body, with distance."""
     w = tube.width / 2.0
-    x0, y0 = tube.body_offset, tube.body_height
+    x0, y0 = tube.body_point
     dx = math.cos(math.radians(theta_deg))
     dy = math.sin(math.radians(theta_deg))
     hits = []
@@ -107,10 +107,12 @@ def _ray_hit(tube: TubeSection, theta_deg: float) -> tuple[str, float]:
 
 def coverage_by_sampling(
     mounts: list[Mount], tube: TubeSection, step_deg: float = 0.1
-) -> dict[str, dict[str, bool]]:
-    """Per-surface visibility flags from a dense angular grid."""
+) -> dict[str, dict[str, bool | float | None]]:
+    """Per-surface visibility flags, and the shortest sampled slant
+    (``min_slant_m``, None when no sample is covered), from a dense
+    angular grid."""
     visible = {s: False for s in SURFACES}
-    covered = {s: False for s in SURFACES}
+    slant: dict[str, float | None] = {s: None for s in SURFACES}
     steps = int(round(360.0 / step_deg))
     for k in range(steps):
         theta = k * step_deg
@@ -118,11 +120,15 @@ def coverage_by_sampling(
         for mount in mounts:
             if not _direction_covered(mount, theta):
                 continue
-            covered[surface] = True
+            slant[surface] = dist if slant[surface] is None else min(slant[surface], dist)
             if dist <= mount.sensor.range_max:
                 visible[surface] = True
     return {
-        s: {"visible": visible[s], "beyond_range": covered[s] and not visible[s]}
+        s: {
+            "visible": visible[s],
+            "beyond_range": slant[s] is not None and not visible[s],
+            "min_slant_m": slant[s],
+        }
         for s in SURFACES
     }
 

@@ -308,6 +308,21 @@ def test_tube_flags_keep_the_body_where_the_mounts_file_puts_it(capsys, tmp_path
     assert run(capsys, "coverage", "--preset", "paper", "--tube-depth", "40") == expected
 
 
+def test_coverage_caps_a_wide_catalog_fov_alike_in_every_format(capsys, tmp_path):
+    """The catalog allows a vertical FOV up to 360 degrees; the table's
+    effective-FOV line caps it at 180 instead of rejecting the file, so
+    every format exits alike."""
+    catalog = _mutated(
+        tmp_path, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16")["fov"].__setitem__("vertical_deg", 200)
+    )
+    results = {
+        fmt: run(capsys, "coverage", "--preset", "paper", "--catalog", catalog, "--format", fmt)
+        for fmt in ("table", "csv", "md")
+    }
+    assert {(code, err) for code, _, err in results.values()} == {(0, "")}
+    assert "vlp16 at 45 deg (spinning): effective vertical FOV 180 deg" in results["table"][1]
+
+
 def test_evaluate_takes_no_mission_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--preset", "paper", "--mission", "x.yaml"])
@@ -456,6 +471,32 @@ DEFECTS = {
             _mutated(tmp, "modality.profile", lambda d: d["exemplars"].__setitem__("bogus", "vlp16")),
         ],
         "error: modality_overview.exemplars: must be one of: lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
+    ),
+    "analysis-tube-body-above-the-ceiling": (
+        lambda tmp: [
+            "coverage", "--preset", "paper", "--mounts",
+            _mutated(tmp, "paper_mounts.yaml", lambda d: d.__setitem__(
+                "analysis_tube", {"depth": 30, "width": 30, "body_height": 40})),
+        ],
+        "error: mounts.analysis_tube.body_height: must be strictly inside (0, depth); depth is 30 m",
+    ),
+    "mount-tilt-past-vertical": (
+        lambda tmp: [
+            "coverage", "--preset", "paper", "--mounts",
+            _mutated(tmp, "paper_mounts.yaml", lambda d: d["body_mounts"][0].__setitem__("tilt_deg", 95)),
+        ],
+        "error: mounts.body_mounts.tilt_deg: must be in (-90, 90) degrees",
+    ),
+    "tube-depth-flag-leaves-the-body-outside": (
+        lambda tmp: [
+            "coverage", "--preset", "paper", "--tube-depth", "1", "--mounts",
+            _mutated(tmp, "paper_mounts.yaml", lambda d: d["analysis_tube"].__setitem__("body_height", 2)),
+        ],
+        "error: mounts.analysis_tube.body_height: must be strictly inside (0, depth); depth is 1 m",
+    ),
+    "tube-width-flag-not-positive": (
+        lambda tmp: ["coverage", "--preset", "paper", "--tube-width", "0"],
+        "argument --tube-width: must be > 0, got '0'",
     ),
     "mounts-sensor-id-is-a-number": (
         # the catalog's id is the string "16"; the mounts file's is the number 16

@@ -4,7 +4,8 @@ Every command, run on mutated copies of the bundled fixtures (keys
 dropped, values swapped for other types, NaN, infinities, negatives) and
 with mutated flags, returns 0, 1 or 2, and lets no exception other than
 argparse's ``SystemExit`` escape.  A return of 2 comes with an ``error:``
-line.  The examples are derandomized, so a run is repeatable.
+line, and the code is the same in every ``--format``.  The examples are
+derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from boomsuite.catalog import bundled_path
 from boomsuite.cli import main
+from boomsuite.reporting import FORMATS
 
 # The flag that points a command at each fixture, per command.
 FILE_FLAGS = {
@@ -100,8 +102,18 @@ def _argv(data, workdir: Path) -> list[str]:
         criterion = data.draw(st.sampled_from(["affordability", "dust", "range", "beauty"]))
         lo, hi = (data.draw(st.sampled_from(["-2", "0", "3", "x", "5000"])) for _ in range(2))
         argv += ["--sweep", criterion, lo, hi]
-    argv += ["--format", data.draw(st.sampled_from(["table", "csv", "md"]))]
     return argv
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
 
 
 @settings(
@@ -113,14 +125,14 @@ def _argv(data, workdir: Path) -> list[str]:
 )
 @given(st.data())
 def test_every_command_honours_the_exit_code_contract(data):
+    """Each command also runs in every format: only the layout may
+    change with the format, never the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = _argv(data, Path(tmp))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        results = {fmt: _run([*argv, "--format", fmt]) for fmt in FORMATS}
+    codes = {code for code, _ in results.values()}
+    assert len(codes) == 1, (argv, results)
+    code = codes.pop()
     assert code in (0, 1, 2), argv
     if code == 2:
-        assert "error:" in err.getvalue(), argv
+        assert all("error:" in err for _, err in results.values()), argv

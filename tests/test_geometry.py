@@ -243,9 +243,26 @@ def test_coverage_interval_union_agrees_with_sampling_oracle():
         ]
         report = section_coverage(mounts, tube, 10)
         oracle = coverage_by_sampling(mounts, tube)
+        x0, y0 = tube.body_point
+        normal_distance = {
+            "floor": y0,
+            "ceiling": tube.depth - y0,
+            "right_wall": tube.width / 2.0 - x0,
+            "left_wall": tube.width / 2.0 + x0,
+        }
         for surface, flags in oracle.items():
             assert report.surfaces[surface].visible == flags["visible"], (surface, tube, mounts)
             assert report.surfaces[surface].beyond_range == flags["beyond_range"], (surface, tube)
+            slant, sampled = report.surfaces[surface].min_slant_m, flags["min_slant_m"]
+            assert (slant is None) == (sampled is None), (surface, tube, mounts)
+            if sampled is None:
+                continue
+            # the true nearest covered direction lies within one sampling
+            # step of the sampled one, on the normal's side of it
+            d = normal_distance[surface]
+            off_normal = math.acos(min(1.0, d / sampled))
+            lowest = d / math.cos(max(0.0, off_normal - math.radians(0.1)))
+            assert lowest * (1 - 1e-9) <= slant <= sampled * (1 + 1e-9), (surface, slant, sampled, lowest)
 
 
 def test_degenerate_tube_rejected():
