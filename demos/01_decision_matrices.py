@@ -8,7 +8,6 @@ near-field decision matrices with requirement gating applied.
 from boomsuite import (
     CriterionName,
     bundled_path,
-    gate_requirements,
     load_catalog,
     load_profile,
     modality_table,
@@ -26,13 +25,14 @@ print(modality_overview_table(grid, catalog, dict(modality_profile.exemplars), "
                               title="Capability grid, one exemplar per modality"))
 print()
 
-# Second pass: head-to-head device scoring per stage.  A score of 0 on a
-# gating criterion (range, darkness, resolution...) marks the device
-# ineligible but its weighted sum is still reported.
+# Second pass: head-to-head device scoring per stage.  score_matrix also
+# gates: a score of 0 on a gating criterion (range, darkness,
+# resolution...) lists it in matrix.failing and marks the device
+# ineligible, but its weighted sum is still reported.
 for name in ("far_field.profile", "near_field.profile"):
     profile = load_profile(bundled_path(name))
     pool = catalog.subset(modalities=profile.modalities)
-    matrix = gate_requirements(score_matrix(pool, profile), profile)
+    matrix = score_matrix(pool, profile)
     print(decision_matrix_table(matrix, pool, "table", title=f"{profile.stage.value} matrix"))
     best = matrix.ranking[0]
     print(f"leader: {pool.get(best).name} at {matrix.weighted_sums[best]}\n")

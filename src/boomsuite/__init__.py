@@ -69,8 +69,6 @@ _EXPORTS = {
             "DecisionMatrix",
             "ScoringProfile",
             "Stage",
-            "bin_score",
-            "gate_requirements",
             "load_profile",
             "modality_table",
             "score_matrix",

@@ -133,9 +133,10 @@ def budget_report(
     body_sensor_mass_kg: float = 0.0,
 ) -> BudgetReport:
     """Compose the full budget envelope and check a loadout against it."""
-    for label, m in (("distal", distal_sensor_mass_kg), ("body", body_sensor_mass_kg)):
-        if not math.isfinite(m):
-            raise ValueError(f"{label} sensor mass must be finite")
+    masses = {"distal_sensor_mass_kg": distal_sensor_mass_kg, "body_sensor_mass_kg": body_sensor_mass_kg}
+    for name, m in masses.items():
+        if not (math.isfinite(m) and m >= 0):
+            raise ValueError(f"{name} must be finite and >= 0 kg")
     one_boom = boom_mass(mission.boom_length, mission.boom_linear_density)
     total_booms = one_boom * mission.boom_count
     body_budget = body_sensor_budget(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, TypeVar
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, fields_of
 
 __all__ = [
     "Modality",
@@ -95,6 +95,12 @@ class Accuracy:
     percent: float | None = None
     absolute_mm: float | None = None
 
+    def __post_init__(self) -> None:
+        if (self.percent is None) == (self.absolute_mm is None):
+            raise ValidationError(
+                "<sensor>", "accuracy", "exactly one of 'percent' or 'absolute_mm' must be present"
+            )
+
 
 @dataclass(frozen=True)
 class FieldOfView:
@@ -103,6 +109,12 @@ class FieldOfView:
     horizontal_deg: float
     vertical_deg: float | None = None
     diagonal_deg: float | None = None
+
+    def __post_init__(self) -> None:
+        for label in ("horizontal_deg", "vertical_deg", "diagonal_deg"):
+            deg = getattr(self, label)
+            if deg is not None and not 0 < deg <= 360:
+                raise ValidationError("<sensor>", f"fov.{label}", "must be in (0, 360]")
 
     @property
     def max_deg(self) -> float:
@@ -154,14 +166,6 @@ class SensorRecord:
             )
         if self.range_max is not None and self.range_max <= 0:
             raise ValidationError(self.id, "range_max", "must be > 0 m")
-        if self.fov is not None:
-            for label, deg in (
-                ("horizontal_deg", self.fov.horizontal_deg),
-                ("vertical_deg", self.fov.vertical_deg),
-                ("diagonal_deg", self.fov.diagonal_deg),
-            ):
-                if deg is not None and not 0 < deg <= 360:
-                    raise ValidationError(self.id, f"fov.{label}", "must be in (0, 360]")
         if isinstance(self.resolution, PixelGrid):
             if self.resolution.width_px <= 0 or self.resolution.height_px <= 0:
                 raise ValidationError(self.id, "resolution", "pixel counts must be > 0")
@@ -417,24 +421,24 @@ def _parse_sensor(raw: Any) -> SensorRecord:
 
     accuracy = None
     if raw.get("accuracy") is not None:
-        acc = raw["accuracy"]
-        if not isinstance(acc, Mapping) or ("percent" in acc) == ("absolute_mm" in acc):
-            raise ValidationError(
-                sensor_id, "accuracy", "exactly one of 'percent' or 'absolute_mm' must be present"
-            )
-        if "percent" in acc:
-            accuracy = Accuracy(percent=_number(acc["percent"], sensor_id, "accuracy.percent"))
-        else:
-            accuracy = Accuracy(absolute_mm=_number(acc["absolute_mm"], sensor_id, "accuracy.absolute_mm"))
+        acc = _mapping(raw["accuracy"], sensor_id, "accuracy")
+        values = {
+            key: _number(acc[key], sensor_id, f"accuracy.{key}")
+            for key in ("percent", "absolute_mm") if key in acc
+        }
+        with fields_of(sensor_id):
+            accuracy = Accuracy(**values)
 
     fov = None
     if raw.get("fov") is not None:
         f = _mapping(raw["fov"], sensor_id, "fov")
-        fov = FieldOfView(
-            horizontal_deg=_number(_require(f, "horizontal_deg", sensor_id), sensor_id, "fov.horizontal_deg"),
-            vertical_deg=None if f.get("vertical_deg") is None else _number(f["vertical_deg"], sensor_id, "fov.vertical_deg"),
-            diagonal_deg=None if f.get("diagonal_deg") is None else _number(f["diagonal_deg"], sensor_id, "fov.diagonal_deg"),
-        )
+        horizontal = _number(_require(f, "horizontal_deg", sensor_id), sensor_id, "fov.horizontal_deg")
+        others = {
+            key: _number(f[key], sensor_id, f"fov.{key}")
+            for key in ("vertical_deg", "diagonal_deg") if f.get(key) is not None
+        }
+        with fields_of(sensor_id):
+            fov = FieldOfView(horizontal, **others)
 
     dimensions = None
     if raw.get("dimensions") is not None:

@@ -76,6 +76,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for a mass: a finite float, zero or above."""
+    value = _finite_float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type for a length: a finite float above zero."""
     value = _finite_float(text)
@@ -146,7 +154,7 @@ def _matrix_section(catalog: Catalog, profile: ScoringProfile, fmt: str, title: 
     """The modality overview or the gated decision matrix, as the
     profile's stage asks, titled after the stage unless ``title`` is given."""
     from .reporting import decision_matrix_table, modality_overview_table
-    from .scoring import Stage, gate_requirements, modality_table, score_matrix
+    from .scoring import Stage, modality_table, score_matrix
 
     if profile.stage is Stage.MODALITY_OVERVIEW:
         table = modality_table(catalog, profile)
@@ -154,7 +162,7 @@ def _matrix_section(catalog: Catalog, profile: ScoringProfile, fmt: str, title: 
             table, catalog, dict(profile.exemplars), fmt, title=title or "Modality Overview"
         )
     pool = catalog.subset(modalities=profile.modalities) if profile.modalities else catalog
-    matrix = gate_requirements(score_matrix(pool, profile), profile)
+    matrix = score_matrix(pool, profile)
     return decision_matrix_table(
         matrix, pool, fmt, title=title or f"Decision Matrix ({profile.stage.value})"
     )
@@ -378,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_budget)
     p_budget.add_argument("--mission", help="mission configuration file")
     p_budget.add_argument("--mounts", help="mount specification file")
-    p_budget.add_argument("--body-mass", type=_finite_float, help="body sensor mass to check, kg")
-    p_budget.add_argument("--distal-mass", type=_finite_float, help="boom-tip sensor mass to check, kg")
+    p_budget.add_argument("--body-mass", type=_nonnegative_float, help="body sensor mass to check, kg")
+    p_budget.add_argument("--distal-mass", type=_nonnegative_float, help="boom-tip sensor mass to check, kg")
     p_budget.set_defaults(func=cmd_budget)
 
     p_cov = sub.add_parser("coverage", help="cross-section coverage and stage plan")

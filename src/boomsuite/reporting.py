@@ -120,14 +120,14 @@ def decision_matrix_table(
     )
     rows = [weight_row]
     for sid in matrix.sensor_ids:
-        flags = matrix.eligibility[sid]
+        failing = matrix.failing[sid]
         rows.append(
             [catalog.get(sid).name]
             + [fmt_num(matrix.scores[sid][c]) for c in matrix.criteria]
             + [
                 fmt_num(matrix.weighted_sums[sid]),
-                "yes" if flags.eligible else "no",
-                ",".join(c.value for c in flags.failing) or "-",
+                "no" if failing else "yes",
+                ",".join(c.value for c in failing) or "-",
             ]
         )
     return render_table(headers, rows, fmt, title=title)

@@ -30,10 +30,7 @@ __all__ = [
     "Criterion",
     "ScoringProfile",
     "DecisionMatrix",
-    "Eligibility",
-    "bin_score",
     "score_matrix",
-    "gate_requirements",
     "modality_table",
     "load_profile",
 ]
@@ -216,18 +213,12 @@ class ScoringProfile:
 
 
 @dataclass(frozen=True)
-class Eligibility:
-    eligible: bool
-    failing: tuple[CriterionName, ...] = ()
-
-
-@dataclass(frozen=True)
 class DecisionMatrix:
-    """Ordinal scores, weighted sums and ranking for a set of sensors.
+    """Ordinal scores, weighted sums, ranking and gate results.
 
     ``ranking`` sorts ids by weighted sum descending, ties broken by
-    catalog order.  ``eligibility`` is filled by gate_requirements; until
-    then every sensor is marked eligible with no failing criteria.
+    catalog order.  ``failing[sid]`` names the gating criteria the sensor
+    scores 0 on, in profile order; it is eligible exactly when that is empty.
     """
 
     stage: Stage
@@ -237,16 +228,16 @@ class DecisionMatrix:
     scores: Mapping[str, Mapping[CriterionName, int]]
     weighted_sums: Mapping[str, int]
     ranking: tuple[str, ...]
-    eligibility: Mapping[str, Eligibility]
+    failing: Mapping[str, tuple[CriterionName, ...]]
 
     def score(self, sensor_id: str, criterion: CriterionName) -> int:
         return self.scores[sensor_id][criterion]
 
 
-def bin_score(sensor: SensorRecord, criterion: Criterion) -> int | None:
-    """Deterministic ordinal score, or None (absent) when the underlying
-    spec field is missing.  Absence is a value, not an error."""
-    return criterion.bins.apply(sensor)
+# A function of its own because bench/spans.py traces it by name.
+def gate_requirements(profile: ScoringProfile) -> tuple[CriterionName, ...]:
+    """The gating criteria (kind requirement or both), in profile order."""
+    return tuple(c.name for c in profile.criteria if c.kind.gates)
 
 
 def score_matrix(
@@ -254,16 +245,20 @@ def score_matrix(
     profile: ScoringProfile,
     overrides: Mapping[str, Mapping[CriterionName, int]] | None = None,
 ) -> DecisionMatrix:
-    """Score every sensor in ``catalog`` against ``profile``.
+    """Score and gate every sensor in ``catalog`` against ``profile``.
 
     Overrides (explicit argument first, then the profile's own table)
     take precedence over binned values; cells that remain unresolved
-    raise ScoringError listing the sensor/criterion pairs.
+    raise ScoringError listing the sensor/criterion pairs.  A score of 0
+    on any gating criterion fails the sensor's gate; its scores and rank
+    are kept.
     """
+    gating = gate_requirements(profile)
     extra = overrides or {}
     unresolved: list[tuple[str, str]] = []
     scores: dict[str, dict[CriterionName, int]] = {}
     sums: dict[str, int] = {}
+    failing: dict[str, tuple[CriterionName, ...]] = {}
     for sensor in catalog:
         row: dict[CriterionName, int] = {}
         for criterion in profile.criteria:
@@ -271,7 +266,7 @@ def score_matrix(
             if value is None:
                 value = profile.override_for(sensor.id, criterion.name)
             if value is None:
-                value = bin_score(sensor, criterion)
+                value = criterion.bins.apply(sensor)
             if value is None:
                 unresolved.append((sensor.id, criterion.name.value))
                 continue
@@ -280,6 +275,7 @@ def score_matrix(
             row[criterion.name] = value
         scores[sensor.id] = row
         sums[sensor.id] = sum(row[c.name] * c.weight for c in profile.criteria if c.name in row)
+        failing[sensor.id] = tuple(name for name in gating if row.get(name) == 0)
     if unresolved:
         raise ScoringError(unresolved)
 
@@ -294,20 +290,8 @@ def score_matrix(
         scores=scores,
         weighted_sums=sums,
         ranking=ranking,
-        eligibility={sid: Eligibility(eligible=True) for sid in catalog.ids()},
+        failing=failing,
     )
-
-
-def gate_requirements(matrix: DecisionMatrix, profile: ScoringProfile) -> DecisionMatrix:
-    """Apply requirement gating: a score of 0 on any gating criterion
-    (kind requirement or both) flags the sensor ineligible.  Scores and
-    ranking are retained; only the eligibility flags change."""
-    gating = tuple(c.name for c in profile.criteria if c.kind.gates)
-    eligibility: dict[str, Eligibility] = {}
-    for sid in matrix.sensor_ids:
-        failing = tuple(name for name in gating if matrix.scores[sid][name] == 0)
-        eligibility[sid] = Eligibility(eligible=not failing, failing=failing)
-    return replace(matrix, eligibility=eligibility)
 
 
 def modality_table(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from .catalog import Catalog, MissionConfig, Modality, SensorRecord
 from .errors import EnumerationGuardError, NoFeasibleSuiteError
 from .geometry import StagePlan, far_anchor_usable, near_anchor_usable, stage_anchor, stage_plan
-from .scoring import CriterionName, DecisionMatrix, ScoringProfile, gate_requirements, score_matrix
+from .scoring import CriterionName, DecisionMatrix, ScoringProfile, score_matrix
 
 __all__ = [
     "Placement",
@@ -124,8 +124,8 @@ def _build_slot(catalog: Catalog, rule: PlacementRule) -> _Slot:
         # no candidates of the admitted modalities: the slot is unfillable
         return _Slot(rule=rule, matrix=None, eligible=())
     pool = Catalog(admitted)
-    matrix = gate_requirements(score_matrix(pool, rule.profile), rule.profile)
-    eligible = tuple(s for s in pool if matrix.eligibility[s.id].eligible)
+    matrix = score_matrix(pool, rule.profile)
+    eligible = tuple(s for s in pool if not matrix.failing[s.id])
     return _Slot(rule=rule, matrix=matrix, eligible=eligible)
 
 

@@ -127,6 +127,13 @@ def test_budget_report_rejects_non_finite_masses(mission, field, value):
         budget_report(mission, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["distal_sensor_mass_kg", "body_sensor_mass_kg"])
+def test_budget_report_rejects_negative_masses(mission, field):
+    # a negative mass adds margin, so an overweight loadout would read feasible
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0 kg$"):
+        budget_report(mission, **{field: -1.0})
+
+
 # ---------------------------------------------------------------------------
 # consistency and dimensional properties
 

@@ -13,7 +13,9 @@ import yaml
 
 import boomsuite
 from boomsuite.catalog import (
+    Accuracy,
     Catalog,
+    FieldOfView,
     Modality,
     Ordinal,
     PixelGrid,
@@ -140,6 +142,7 @@ def test_range_ordering_rejected(tmp_path):
             "resolution",
         ),
         ({"accuracy": {}}, "accuracy"),
+        ({"accuracy": {"percent": 1, "absolute_mm": 5}}, "accuracy"),
         ({"resolution": {"pixels": 5}}, "resolution.pixels"),
         ({"resolution": {"pixels": {"width": 10.5, "height": 10}}}, "resolution.pixels.width"),
         ({"aliases": "abc"}, "aliases"),
@@ -149,7 +152,7 @@ def test_malformed_sensor_names_field(tmp_path, mutation, field):
     doc = {"sensors": [_minimal_sensor(**mutation)]}
     with pytest.raises(ValidationError) as exc:
         load_catalog(_write(tmp_path, doc))
-    assert exc.value.field == field
+    assert (exc.value.subject, exc.value.field) == ("x", field)
 
 
 def test_duplicate_ids_rejected(tmp_path):
@@ -260,6 +263,25 @@ def test_subset_by_modality(catalog):
         catalog.subset(modalities=[Modality.SONAR])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Accuracy(), "<sensor>.accuracy: exactly one of 'percent' or 'absolute_mm' must be present"),
+        (
+            lambda: Accuracy(percent=1.0, absolute_mm=5.0),
+            "<sensor>.accuracy: exactly one of 'percent' or 'absolute_mm' must be present",
+        ),
+        (lambda: FieldOfView(horizontal_deg=-5), "<sensor>.fov.horizontal_deg: must be in (0, 360]"),
+        (lambda: FieldOfView(horizontal_deg=90, vertical_deg=400), "<sensor>.fov.vertical_deg: must be in (0, 360]"),
+        (lambda: FieldOfView(horizontal_deg=90, diagonal_deg=0), "<sensor>.fov.diagonal_deg: must be in (0, 360]"),
+    ],
+)
+def test_spec_records_built_in_code_check_their_own_rules(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_infinite_range_allowed_in_code():
     s = SensorRecord(
         id="omni", name="omni", modality=Modality.LIDAR, mass=1, price=0,
@@ -331,14 +353,43 @@ TYPED_FIELDS = {
 # Fields that are mapping keys; a list or mapping cannot be a YAML key.
 KEY_FIELDS = {"overrides.sensor", "overrides.criterion", "exemplars.modality"}
 
-# The non-string values the CLI fuzz test draws, with one of each of its
-# numeric draws: a NaN, an infinity, a negative float and an integer.
-NON_STRINGS = [v for v in SAMPLES if not isinstance(v, str)] + [math.nan, -math.inf, -2.5, 16]
+
+def _grade(ordinal):
+    return None if ordinal is None else ordinal.name.lower()
 
 
-@pytest.mark.parametrize("case", sorted(TYPED_FIELDS))
+# One field for each of the number, integer, boolean and grade readers,
+# laid out as above.  A draw may be a valid value here, so each one must
+# be rejected or read back unchanged.
+VALUE_FIELDS = {
+    "sensor.mass": ("paper_catalog.yaml", load_catalog, _set("sensors", 0, "mass"), "rsbpearl.mass:",
+                    "rsbpearl.mass:", 250, lambda c: [c.get("rsbpearl").mass]),
+    "mission.boom_count": ("paper_mission.yaml", load_mission, _set("boom_count"), "mission.boom_count:",
+                           "mission.boom_count:", 6, lambda m: [m.boom_count]),
+    "body_mounts.spinning": ("paper_mounts.yaml", _load_mounts, _set("body_mounts", 0, "spinning"),
+                             "mounts.body_mounts.spinning:", "mounts.body_mounts.spinning:", False,
+                             lambda s: [s.body_mounts[0].spinning]),
+    "sensor.dust_robust": ("paper_catalog.yaml", load_catalog, _set("sensors", 0, "dust_robust"),
+                           "rsbpearl.dust_robust:", "rsbpearl.dust_robust:", "high",
+                           lambda c: [_grade(c.get("rsbpearl").dust_robust)]),
+}
+
+# The values the CLI fuzz test draws, with one of each kind of its numeric
+# draws: a NaN, an infinity, a negative and a positive fraction, a grade's
+# integer and a larger integer.
+DRAWS = SAMPLES + [math.nan, -math.inf, -2.5, 2.5, 1, 16]
+NON_STRINGS = [v for v in DRAWS if not isinstance(v, str)]
+
+
+def _unchanged(value, read_back):
+    """``value`` is among the values read back.  True == 1.0 in Python, so
+    a boolean matches only a boolean."""
+    return any(v == value and isinstance(v, bool) == isinstance(value, bool) for v in read_back)
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_FIELDS) + sorted(VALUE_FIELDS))
 def test_typed_field_rejects_non_strings_and_reads_strings_back(tmp_path, case):
-    fixture, loader, put, prefix, unknown_prefix, valid, read = TYPED_FIELDS[case]
+    fixture, loader, put, prefix, unknown_prefix, valid, read = {**TYPED_FIELDS, **VALUE_FIELDS}[case]
     path = tmp_path / fixture
 
     def load_with(value):
@@ -347,12 +398,16 @@ def test_typed_field_rejects_non_strings_and_reads_strings_back(tmp_path, case):
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         return loader(path)
 
-    for value in NON_STRINGS:
+    # a string field reads back no non-string; a value field may read back any draw
+    for value in NON_STRINGS if case in TYPED_FIELDS else DRAWS:
         if case in KEY_FIELDS and not isinstance(value, Hashable):
             continue
-        with pytest.raises(ValidationError) as exc:
-            load_with(copy.deepcopy(value))
-        assert str(exc.value).startswith(prefix + " "), (value, str(exc.value))
+        try:
+            got = read(load_with(copy.deepcopy(value)))
+        except ValidationError as exc:
+            assert str(exc).startswith(prefix + " "), (value, str(exc))
+        else:
+            assert case in VALUE_FIELDS and _unchanged(value, got), (value, got)
     assert valid in read(load_with(valid))
     if unknown_prefix is None:
         assert "bogus" in read(load_with("bogus"))

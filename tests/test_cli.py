@@ -341,6 +341,14 @@ DEFECTS = {
         lambda tmp: ["budget", "--preset", "paper", "--body-mass", "nan"],
         "argument --body-mass: must be a finite number",
     ),
+    "negative-body-mass": (
+        lambda tmp: ["budget", "--preset", "paper", "--body-mass", "-1"],
+        "argument --body-mass: must be >= 0, got '-1'",
+    ),
+    "negative-distal-mass": (
+        lambda tmp: ["budget", "--preset", "paper", "--distal-mass", "-0.5"],
+        "argument --distal-mass: must be >= 0, got '-0.5'",
+    ),
     "empty-sweep-range": (
         lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "4", "0"],
         "error: --sweep MIN 4 is greater than MAX 0",

@@ -14,8 +14,6 @@ from boomsuite.scoring import (
     CriterionKind,
     CriterionName,
     Stage,
-    bin_score,
-    gate_requirements,
     modality_table,
     score_matrix,
 )
@@ -27,27 +25,27 @@ NEAR_SUMS = {"firefly_s": 14, "d435i": 24, "d455i": 20, "zed2": 23, "oak_d": 18}
 
 
 # ---------------------------------------------------------------------------
-# bin_score
+# bin rules
 
 
 def test_bin_range_high(catalog, far_profile):
     crit = far_profile.criterion(CriterionName.RANGE)
-    assert bin_score(catalog.get("vlp16"), crit) == 2
+    assert crit.bins.apply(catalog.get("vlp16")) == 2
 
 
 def test_bin_darkness_passthrough(catalog, near_profile):
     crit = near_profile.criterion(CriterionName.DARKNESS)
-    assert bin_score(catalog.get("firefly_s"), crit) == 0
+    assert crit.bins.apply(catalog.get("firefly_s")) == 0
 
 
 def test_bin_range_low(catalog, far_profile):
     crit = far_profile.criterion(CriterionName.RANGE)
-    assert bin_score(catalog.get("cygbot_mini"), crit) == 0
+    assert crit.bins.apply(catalog.get("cygbot_mini")) == 0
 
 
 def test_bin_absent_power_is_none_and_overridden(catalog, far_profile):
     crit = far_profile.criterion(CriterionName.POWER)
-    assert bin_score(catalog.get("iphone12"), crit) is None
+    assert crit.bins.apply(catalog.get("iphone12")) is None
     pool = catalog.subset(ids=["iphone12"])
     matrix = score_matrix(pool, far_profile)
     assert matrix.score("iphone12", CriterionName.POWER) == 2
@@ -56,14 +54,14 @@ def test_bin_absent_power_is_none_and_overridden(catalog, far_profile):
 def test_bin_boundaries(catalog, far_profile):
     # range_max exactly 3 m is mid (the low region is strictly below 3)
     crit = far_profile.criterion(CriterionName.RANGE)
-    assert bin_score(catalog.get("d435i"), crit) == 1
+    assert crit.bins.apply(catalog.get("d435i")) == 1
     # resolution at 2 MP or better is high, at 0.5 MP or less is low
     res = far_profile.criterion(CriterionName.RESOLUTION)
-    assert bin_score(catalog.get("d435i"), res) == 2       # 2.07 MP
-    assert bin_score(catalog.get("cygbot_mini"), res) == 0  # 0.0096 MP
+    assert res.bins.apply(catalog.get("d435i")) == 2       # 2.07 MP
+    assert res.bins.apply(catalog.get("cygbot_mini")) == 0  # 0.0096 MP
     # accuracy converts absolute error against nominal range: 20mm/30m
     acc = far_profile.criterion(CriterionName.ACCURACY)
-    assert bin_score(catalog.get("rsbpearl"), acc) == 2
+    assert acc.bins.apply(catalog.get("rsbpearl")) == 2
 
 
 def test_bin_rule_rejects_overlapping_regions():
@@ -141,35 +139,32 @@ def test_explicit_override_argument_wins(catalog, far_profile):
 
 def test_firefly_fails_near_field_darkness_gate(catalog, near_profile):
     pool = catalog.subset(modalities=near_profile.modalities)
-    matrix = gate_requirements(score_matrix(pool, near_profile), near_profile)
-    flags = matrix.eligibility["firefly_s"]
-    assert not flags.eligible
-    assert flags.failing == (CriterionName.DARKNESS,)
+    matrix = score_matrix(pool, near_profile)
+    assert matrix.failing["firefly_s"] == (CriterionName.DARKNESS,)
     # scores are retained for ineligible sensors
     assert matrix.weighted_sums["firefly_s"] == NEAR_SUMS["firefly_s"]
 
 
 def test_recommended_near_field_sensors_stay_eligible(catalog, near_profile):
     pool = catalog.subset(modalities=near_profile.modalities)
-    matrix = gate_requirements(score_matrix(pool, near_profile), near_profile)
+    matrix = score_matrix(pool, near_profile)
     for sid in ("d435i", "d455i", "zed2", "oak_d"):
-        assert matrix.eligibility[sid].eligible, sid
+        assert not matrix.failing[sid], sid
 
 
 def test_vlp16_passes_far_field_gate_with_mid_dust(catalog, far_profile):
     pool = catalog.subset(modalities=far_profile.modalities)
-    matrix = gate_requirements(score_matrix(pool, far_profile), far_profile)
-    flags = matrix.eligibility["vlp16"]
-    assert flags.eligible
+    matrix = score_matrix(pool, far_profile)
+    assert not matrix.failing["vlp16"]
     # dust scores 1: only a 0 fails a gating criterion
     assert matrix.score("vlp16", CriterionName.DUST) == 1
 
 
 def test_short_range_lidars_fail_far_field_range_gate(catalog, far_profile):
     pool = catalog.subset(modalities=far_profile.modalities)
-    matrix = gate_requirements(score_matrix(pool, far_profile), far_profile)
-    assert matrix.eligibility["cygbot_mini"].failing == (CriterionName.RANGE,)
-    assert matrix.eligibility["iphone12"].failing == (CriterionName.RANGE,)
+    matrix = score_matrix(pool, far_profile)
+    assert matrix.failing["cygbot_mini"] == (CriterionName.RANGE,)
+    assert matrix.failing["iphone12"] == (CriterionName.RANGE,)
 
 
 def test_empty_requirement_set_gates_nothing(catalog, far_profile):
@@ -178,8 +173,8 @@ def test_empty_requirement_set_gates_nothing(catalog, far_profile):
         far_profile,
         criteria=tuple(replace(c, kind=CriterionKind.OBJECTIVE) for c in far_profile.criteria),
     )
-    matrix = gate_requirements(score_matrix(pool, relaxed), relaxed)
-    assert all(matrix.eligibility[sid].eligible for sid in pool.ids())
+    matrix = score_matrix(pool, relaxed)
+    assert not any(matrix.failing[sid] for sid in pool.ids())
 
 
 # ---------------------------------------------------------------------------

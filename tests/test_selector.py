@@ -16,7 +16,6 @@ from boomsuite.scoring import (
     CriterionName,
     ScoringProfile,
     Stage,
-    gate_requirements,
     score_matrix,
 )
 from boomsuite.selector import (
@@ -231,8 +230,8 @@ def _feasibility_invariants(suite, rules, catalog):
     assert len(suite.distal_sensors) <= rules[1].max_sensors
     for rule, chosen in ((rules[0], suite.body_sensors), (rules[1], suite.distal_sensors)):
         pool = catalog.subset(ids=chosen)
-        matrix = gate_requirements(score_matrix(pool, rule.profile), rule.profile)
-        assert all(matrix.eligibility[sid].eligible for sid in chosen)
+        matrix = score_matrix(pool, rule.profile)
+        assert not any(matrix.failing[sid] for sid in chosen)
     if suite.stage_plan is not None:
         assert suite.stage_plan.valid or suite.stage_plan.marginal
 
@@ -371,10 +370,10 @@ def _counting_stage_plan(monkeypatch):
 
 def _ranged_eligible(catalog, rule):
     pool = catalog if rule.modalities is None else catalog.subset(modalities=rule.modalities)
-    matrix = gate_requirements(score_matrix(pool, rule.profile), rule.profile)
+    matrix = score_matrix(pool, rule.profile)
     return [
         s for s in pool
-        if matrix.eligibility[s.id].eligible and s.range_min is not None and s.range_max is not None
+        if not matrix.failing[s.id] and s.range_min is not None and s.range_max is not None
     ]
 
 
