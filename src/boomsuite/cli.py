@@ -17,6 +17,8 @@ from .errors import NoFeasibleSuiteError, TradeStudyError, fields_of
 from .reporting import FORMATS
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .catalog import Catalog, MissionConfig
     from .geometry import CoverageReport, TubeSection
     from .mounts import MountSpec
@@ -64,38 +66,23 @@ def _load_profile(value: str) -> ScoringProfile:
     return load_profile(value)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for physical quantities: a finite float, so that a
-    NaN budget cannot switch off every comparison made against it."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _bounded(kind: type, low: int, strict: bool = False) -> Callable[[str], float]:
+    """argparse type for a number flag: a finite ``kind`` (float or int) of
+    at least ``low``, or above it when ``strict``.  Finite, so that a NaN
+    budget cannot switch off every comparison made against it."""
 
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
 
-def _nonnegative_float(text: str) -> float:
-    """argparse type for a mass: a finite float, zero or above."""
-    value = _finite_float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for a length: a finite float above zero."""
-    value = _finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="table", help="output format")
-    parser.add_argument("--preset", choices=["paper"], help="use the bundled reference fixtures")
-    parser.add_argument("--catalog", help="sensor catalog file")
+    return parse
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[Catalog, MissionConfig]:
@@ -110,9 +97,10 @@ def _default_rules(
     near_profile: ScoringProfile,
     args: argparse.Namespace,
 ) -> list[PlacementRule]:
-    """Body + distal rules with budgets derived from the mission.  Each
-    placement admits by default the modality families its profile carries
-    complete scoring coverage for."""
+    """Body + distal rules with budgets derived from the mission unless
+    ``--body-budget``/``--distal-budget`` give them.  The body admits only
+    lidar and radar and the boom tip only 2D and 3D cameras, whatever
+    modalities the profiles list."""
     from .budget import budget_report
     from .catalog import Modality
     from .selector import Placement, PlacementRule
@@ -367,69 +355,55 @@ def cmd_report(args: argparse.Namespace) -> int:
 # argument wiring
 
 
+_EVERY = ("evaluate", "budget", "coverage", "select", "report")
+_SELECTING = ("select", "report")
+_MASS, _LENGTH, _COUNT = _bounded(float, 0), _bounded(float, 0, strict=True), _bounded(int, 1)
+
+# Every flag once, in the order --help lists them, with the commands that take it.
+_FLAGS: list[tuple[str, tuple[str, ...], dict]] = [
+    ("--format", _EVERY, dict(choices=FORMATS, default="table", help="output format")),
+    ("--preset", _EVERY, dict(choices=["paper"], help="use the bundled reference fixtures")),
+    ("--catalog", _EVERY, dict(help="sensor catalog file")),
+    ("--profile", ("evaluate",), dict(help="profile file, or shorthand: far_field / near_field / modality")),
+    ("--mission", ("budget", "coverage", "select", "report"), dict(help="mission configuration file")),
+    ("--mounts", ("budget", "coverage", "report"), dict(help="mount specification file")),
+    ("--body-mass", ("budget",), dict(type=_MASS, help="body sensor mass to check, kg")),
+    ("--distal-mass", ("budget",), dict(type=_MASS, help="boom-tip sensor mass to check, kg")),
+    ("--tube-depth", ("coverage",), dict(type=_LENGTH, help="override analysis tube depth, m")),
+    ("--tube-width", ("coverage",), dict(type=_LENGTH, help="override analysis tube width, m")),
+    ("--far-profile", _SELECTING, dict(help="body placement profile (default: bundled far_field)")),
+    ("--near-profile", _SELECTING, dict(help="boom-tip placement profile (default: bundled near_field)")),
+    ("--body-budget", _SELECTING, dict(type=_MASS, help="override body mass budget, kg")),
+    ("--distal-budget", _SELECTING, dict(type=_MASS, help="override boom-tip mass budget, kg")),
+    ("--body-max", _SELECTING, dict(type=_COUNT, default=1, help="max sensors on the body")),
+    ("--distal-max", _SELECTING, dict(type=_COUNT, default=1, help="max sensors at the boom tip")),
+    ("--redundancy", _SELECTING, dict(action="store_true", help="require two dust-robust modalities on the body")),
+    ("--sweep", ("select",), dict(
+        nargs=3, metavar=("CRITERION", "MIN", "MAX"), help="sweep one criterion's weight over an integer range"
+    )),
+]
+
+_COMMANDS = {
+    "evaluate": ("score a catalog against a profile", cmd_evaluate),
+    "budget": ("mass and buckling budget report", cmd_budget),
+    "coverage": ("cross-section coverage and stage plan", cmd_coverage),
+    "select": ("choose the best feasible sensor suite", cmd_select),
+    "report": ("bundle every analysis into one report", cmd_report),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boomsuite",
         description="Trade-study engine for perception sensor suites on boom-based climbers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("evaluate", help="score a catalog against a profile")
-    _add_common(p_eval)
-    p_eval.add_argument(
-        "--profile",
-        help="profile file, or shorthand: far_field / near_field / modality",
-    )
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_budget = sub.add_parser("budget", help="mass and buckling budget report")
-    _add_common(p_budget)
-    p_budget.add_argument("--mission", help="mission configuration file")
-    p_budget.add_argument("--mounts", help="mount specification file")
-    p_budget.add_argument("--body-mass", type=_nonnegative_float, help="body sensor mass to check, kg")
-    p_budget.add_argument("--distal-mass", type=_nonnegative_float, help="boom-tip sensor mass to check, kg")
-    p_budget.set_defaults(func=cmd_budget)
-
-    p_cov = sub.add_parser("coverage", help="cross-section coverage and stage plan")
-    _add_common(p_cov)
-    p_cov.add_argument("--mission", help="mission configuration file")
-    p_cov.add_argument("--mounts", help="mount specification file")
-    p_cov.add_argument("--tube-depth", type=_positive_float, help="override analysis tube depth, m")
-    p_cov.add_argument("--tube-width", type=_positive_float, help="override analysis tube width, m")
-    p_cov.set_defaults(func=cmd_coverage)
-
-    def add_select_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--far-profile", help="body placement profile (default: bundled far_field)")
-        p.add_argument("--near-profile", help="boom-tip placement profile (default: bundled near_field)")
-        p.add_argument("--body-budget", type=_finite_float, help="override body mass budget, kg")
-        p.add_argument("--distal-budget", type=_finite_float, help="override boom-tip mass budget, kg")
-        p.add_argument("--body-max", type=int, default=1, help="max sensors on the body")
-        p.add_argument("--distal-max", type=int, default=1, help="max sensors at the boom tip")
-        p.add_argument(
-            "--redundancy",
-            action="store_true",
-            help="require two dust-robust modalities on the body",
-        )
-
-    p_select = sub.add_parser("select", help="choose the best feasible sensor suite")
-    _add_common(p_select)
-    p_select.add_argument("--mission", help="mission configuration file")
-    add_select_flags(p_select)
-    p_select.add_argument(
-        "--sweep",
-        nargs=3,
-        metavar=("CRITERION", "MIN", "MAX"),
-        help="sweep one criterion's weight over an integer range",
-    )
-    p_select.set_defaults(func=cmd_select)
-
-    p_report = sub.add_parser("report", help="bundle every analysis into one report")
-    _add_common(p_report)
-    p_report.add_argument("--mission", help="mission configuration file")
-    p_report.add_argument("--mounts", help="mount specification file")
-    add_select_flags(p_report)
-    p_report.set_defaults(func=cmd_report)
-
+    for name, (summary, func) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, commands, options in _FLAGS:
+            if name in commands:
+                command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 

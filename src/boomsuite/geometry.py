@@ -59,6 +59,12 @@ RESOLVABLE_FOOTPRINT_MM2 = 25.0
 # no scoring credit, though coverage feasibility still uses true range.
 FAR_RANGE_CREDIT_CAP_M = 20.0
 
+# A slant within this relative tolerance of ``range_max`` is in range, so
+# rounding does not decide a surface that lies exactly at range: the
+# slant's own rounding reaches about 40 ulps (1e-14) at offsets past 80
+# degrees, and no range is specified to a part in 10^12.
+RANGE_REL_TOL = 1e-12
+
 # strategy_recommend's thresholds: judgment calls, not measured constants.
 TWO_STAGE_BOOM_THRESHOLD_M = 5.0
 TWO_STAGE_CLEARANCE_FACTOR = 2.0
@@ -315,7 +321,7 @@ def section_coverage(
             if not offsets:
                 continue
             slants.append(distance / math.cos(math.radians(min(offsets, key=abs))))
-            if slants[-1] <= mount.sensor.range_max:
+            if slants[-1] <= mount.sensor.range_max * (1.0 + RANGE_REL_TOL):
                 seen_by.append(mount.sensor.id)
         results[surface] = SurfaceCoverage(
             surface=surface,

@@ -95,6 +95,18 @@ def test_criterion_5_selection_reproduction(capsys, catalog, far_profile):
     assert "d435i" in out
 
 
+def _assert_keeps_its_rules(catalog, rules, suite):
+    """Each placement of ``suite`` holds 1 to ``max_sensors`` sensors that
+    pass every gate of its profile and together weigh no more than its
+    budget: checked from the raw records, not by the selector."""
+    for rule, ids in zip(rules, (suite.body_sensors, suite.distal_sensors)):
+        assert 1 <= len(ids) <= rule.max_sensors, (rule.placement, ids)
+        grams = sum(catalog.get(sensor_id).mass for sensor_id in ids)
+        assert grams / 1000.0 <= rule.mass_budget, (rule.placement, ids, grams, rule.mass_budget)
+        failing = score_matrix(catalog, rule.profile).failing
+        assert not any(failing[sensor_id] for sensor_id in ids), (rule.placement, ids)
+
+
 def test_criterion_6_oracle_equivalence_on_200_random_catalogs():
     rng = random.Random(20240501)
     start = time.perf_counter()
@@ -126,6 +138,7 @@ def test_criterion_6_oracle_equivalence_on_200_random_catalogs():
             continue
         best = select_best(cat, rules, mission)
         assert best.aggregate_score == max(s.aggregate_score for s in suites)
+        _assert_keeps_its_rules(cat, rules, best)
         feasible += 1
     elapsed = time.perf_counter() - start
     assert feasible + infeasible == 200

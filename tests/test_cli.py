@@ -1,5 +1,6 @@
 """CLI behavior: reproductions, formats, determinism, exit codes."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import yaml
 
 import boomsuite
 from boomsuite.catalog import bundled_path
-from boomsuite.cli import main
+from boomsuite.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -323,6 +324,63 @@ def test_coverage_caps_a_wide_catalog_fov_alike_in_every_format(capsys, tmp_path
     assert "vlp16 at 45 deg (spinning): effective vertical FOV 180 deg" in results["table"][1]
 
 
+# Each subcommand's help line and flags in order, as --help lists them:
+# option, default, choices, nargs, metavar and help text.
+_COMMON = [
+    ("--format", "table", ("table", "csv", "md"), None, None, "output format"),
+    ("--preset", None, ("paper",), None, None, "use the bundled reference fixtures"),
+    ("--catalog", None, None, None, None, "sensor catalog file"),
+]
+_MISSION = ("--mission", None, None, None, None, "mission configuration file")
+_MOUNTS = ("--mounts", None, None, None, None, "mount specification file")
+_SELECT = [
+    ("--far-profile", None, None, None, None, "body placement profile (default: bundled far_field)"),
+    ("--near-profile", None, None, None, None, "boom-tip placement profile (default: bundled near_field)"),
+    ("--body-budget", None, None, None, None, "override body mass budget, kg"),
+    ("--distal-budget", None, None, None, None, "override boom-tip mass budget, kg"),
+    ("--body-max", 1, None, None, None, "max sensors on the body"),
+    ("--distal-max", 1, None, None, None, "max sensors at the boom tip"),
+    ("--redundancy", False, None, 0, None, "require two dust-robust modalities on the body"),
+]
+PINNED_FLAGS = {
+    "evaluate": ("score a catalog against a profile", [
+        *_COMMON,
+        ("--profile", None, None, None, None, "profile file, or shorthand: far_field / near_field / modality"),
+    ]),
+    "budget": ("mass and buckling budget report", [
+        *_COMMON, _MISSION, _MOUNTS,
+        ("--body-mass", None, None, None, None, "body sensor mass to check, kg"),
+        ("--distal-mass", None, None, None, None, "boom-tip sensor mass to check, kg"),
+    ]),
+    "coverage": ("cross-section coverage and stage plan", [
+        *_COMMON, _MISSION, _MOUNTS,
+        ("--tube-depth", None, None, None, None, "override analysis tube depth, m"),
+        ("--tube-width", None, None, None, None, "override analysis tube width, m"),
+    ]),
+    "select": ("choose the best feasible sensor suite", [
+        *_COMMON, _MISSION, *_SELECT,
+        ("--sweep", None, None, 3, ("CRITERION", "MIN", "MAX"), "sweep one criterion's weight over an integer range"),
+    ]),
+    "report": ("bundle every analysis into one report", [*_COMMON, _MISSION, _MOUNTS, *_SELECT]),
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    found = {
+        name: (helps[name], [
+            (a.option_strings[0], a.default, a.choices and tuple(a.choices), a.nargs, a.metavar, a.help)
+            for a in command._actions
+            if a.dest != "help"
+        ])
+        for name, command in sub.choices.items()
+    }
+    assert list(found) == list(PINNED_FLAGS)
+    assert found == PINNED_FLAGS
+
+
 def test_evaluate_takes_no_mission_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--preset", "paper", "--mission", "x.yaml"])
@@ -516,6 +574,18 @@ DEFECTS = {
         "error: mounts.sensor: expected a string, got 16",
     ),
 }
+# Budgets and sensor counts below their bound, in both commands that take them.
+for _command in ("select", "report"):
+    for _flag, _value, _bound in (
+        ("--body-budget", "-1", ">= 0"),
+        ("--distal-budget", "-0.5", ">= 0"),
+        ("--body-max", "0", ">= 1"),
+        ("--distal-max", "-1", ">= 1"),
+    ):
+        DEFECTS[f"{_command}{_flag}-below-bound"] = (
+            lambda tmp, argv=(_command, "--preset", "paper", _flag, _value): list(argv),
+            f"argument {_flag}: must be {_bound}, got '{_value}'",
+        )
 
 
 @pytest.mark.parametrize("case", sorted(DEFECTS))

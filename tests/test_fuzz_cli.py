@@ -4,13 +4,17 @@ Every command, run on mutated copies of the bundled fixtures (keys
 dropped, values swapped for other types, NaN, infinities, negatives) and
 with mutated flags, returns 0, 1 or 2, and lets no exception other than
 argparse's ``SystemExit`` escape.  A return of 2 comes with an ``error:``
-line, and the code is the same in every ``--format``.  The examples are
-derandomized, so a run is repeatable.
+line, and the code is the same in every ``--format``.  A command that
+prints its tables (0 or 1) prints the same cells, table by table, and the
+same other lines in ``csv`` and ``md``.  The examples are derandomized, so
+a run is repeatable.
 """
 
 import contextlib
 import copy
+import csv
 import io
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -105,15 +109,50 @@ def _argv(data, workdir: Path) -> list[str]:
     return argv
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stderr of one command."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stderr and stdout of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
+
+
+def _md_tables(text: str) -> tuple[list, list[str]]:
+    """Each table of a Markdown rendering as (title, rows of cells), and
+    the other non-blank lines."""
+    tables, other, title, rows = [], [], None, None
+    for line in text.splitlines():
+        if line.startswith("|"):
+            if rows is None:
+                rows = []
+                tables.append((title, rows))
+            cells = [cell.strip() for cell in line[1:-1].split("|")]
+            if set(cells) != {"---"}:
+                rows.append(cells)
+            continue
+        rows = None
+        if line.startswith("## "):
+            title = line[3:]
+        elif line:
+            other.append(line)
+    return tables, other
+
+
+def _csv_tables(text: str, sizes: list[int]) -> tuple[list, list[str]]:
+    """The tables of a CSV rendering, the n-th read as ``sizes[n]`` rows
+    after its title, and the other non-blank lines."""
+    lines = iter(text.splitlines())
+    tables, other = [], []
+    for line in lines:
+        if line.startswith("# ") and len(tables) < len(sizes):
+            rows = csv.reader(itertools.islice(lines, sizes[len(tables)]))
+            tables.append((line[2:], [[cell.strip() for cell in row] for row in rows]))
+        elif line:
+            other.append(line)
+    return tables, other
 
 
 @settings(
@@ -130,9 +169,13 @@ def test_every_command_honours_the_exit_code_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
         argv = _argv(data, Path(tmp))
         results = {fmt: _run([*argv, "--format", fmt]) for fmt in FORMATS}
-    codes = {code for code, _ in results.values()}
+    codes = {code for code, _, _ in results.values()}
     assert len(codes) == 1, (argv, results)
     code = codes.pop()
     assert code in (0, 1, 2), argv
     if code == 2:
-        assert all("error:" in err for _, err in results.values()), argv
+        assert all("error:" in err for _, err, _ in results.values()), argv
+    else:
+        md_tables, md_other = _md_tables(results["md"][2])
+        sizes = [len(rows) for _, rows in md_tables]
+        assert _csv_tables(results["csv"][2], sizes) == (md_tables, md_other), argv

@@ -196,6 +196,25 @@ def test_wide_tube_walls_flagged_beyond_range():
         assert report.surfaces[wall].min_slant_m == pytest.approx(150.0)
 
 
+def test_a_surface_exactly_at_range_reads_visible():
+    """A static mount whose arc ends at 120 degrees meets the left wall,
+    width/2 away, 60 degrees off its normal: at a slant of exactly the
+    width.  Rounding puts the computed slant a few ulps either side of it;
+    the wall must read visible at that range and not at one shorter by a
+    part in 10^9."""
+    rng = random.Random(20261018)
+    for _ in range(200):
+        half = rng.randint(301, 600) / 10  # half the vertical FOV
+        tilt = round(120 - half, 1)
+        width = rng.choice([8, 10, 12, 16, 20])
+        tube = TubeSection(depth=rng.choice([40, 50]), width=width)
+        for range_max, visible in ((width, True), (width * (1 - 1e-9), False)):
+            sensor = _sensor(fov=FieldOfView(horizontal_deg=360, vertical_deg=2 * half), range_max=range_max)
+            wall = section_coverage([Mount(sensor, tilt)], tube, 10).surfaces["left_wall"]
+            assert wall.visible is visible, (tube, tilt, 2 * half, range_max, wall.min_slant_m)
+            assert wall.min_slant_m == pytest.approx(width, rel=1e-14)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     depth=st.floats(min_value=2, max_value=60),
