@@ -26,10 +26,7 @@ print(f"{mission.boom_count} booms: {one_boom * mission.boom_count} kg\n")
 # Envelope plus a concrete loadout: dual pucks + dual radar on the body
 # (1.7 kg) and one 3D camera on each tip (0.26 kg).
 report = budget_report(mission, distal_sensor_mass_kg=0.26, body_sensor_mass_kg=1.7)
-for line in budget_summary_lines(report):
-    print(line)
-print()
-print(budget_table(report, "table", title="envelope and margins"))
+print(budget_table(report, "table", title="envelope and margins", before=budget_summary_lines(report)))
 print()
 
 # Which catalog sensors could ride the tip at all?

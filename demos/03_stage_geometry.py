@@ -20,7 +20,7 @@ from boomsuite import (
     stage_plan,
     strategy_recommend,
 )
-from boomsuite.reporting import coverage_table, stage_plan_lines
+from boomsuite.reporting import coverage_table, render_prose, stage_plan_lines
 
 catalog = load_catalog(bundled_path("paper_catalog.yaml"))
 mission = load_mission(bundled_path("paper_mission.yaml"))
@@ -64,6 +64,5 @@ print()
 # Stage handoff: the 3 m camera leaves a blind band below the 3.33 m
 # boundary; the 20 m stereo unit hands off with plenty of overlap.
 for near in (d435i, zed2):
-    for line in stage_plan_lines(stage_plan(vlp16, near, mission.boom_length)):
-        print(line)
+    print("\n".join(render_prose(stage_plan_lines(stage_plan(vlp16, near, mission.boom_length)))))
     print()

@@ -17,7 +17,7 @@ from .errors import NoFeasibleSuiteError, TradeStudyError, fields_of
 from .reporting import FORMATS
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     from .catalog import Catalog, MissionConfig
     from .geometry import CoverageReport, TubeSection
@@ -180,9 +180,10 @@ def _coverage(
 
 
 def _selection(
-    catalog: Catalog, mission: MissionConfig, rules: list[PlacementRule], fmt: str
+    catalog: Catalog, mission: MissionConfig, rules: list[PlacementRule], fmt: str, budgets: bool = False
 ) -> tuple[SuiteSolution | None, str]:
-    """The best suite under ``rules`` and its section, or None and a
+    """The best suite under ``rules`` and its section, headed in the table
+    format by its use of each budget when ``budgets``, or None and a
     section listing why no suite is feasible."""
     from .reporting import selection_lines
     from .selector import select_best
@@ -191,25 +192,26 @@ def _selection(
         suite = select_best(catalog, rules, mission)
     except NoFeasibleSuiteError as exc:
         return None, "\n".join(["no feasible suite:", *(f"  - {reason}" for reason in exc.reasons)])
-    return suite, selection_lines(suite, fmt, title="Selected Suite")
+    before = [("body budget: {} of {} kg; distal budget: {} of {} kg",
+               suite.body_mass, rules[0].mass_budget, suite.distal_mass, rules[1].mass_budget)]
+    return suite, selection_lines(suite, fmt, title="Selected Suite", before=before if budgets else ())
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each returning its exit code and its output for ``main`` to write
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
     from .catalog import load_catalog
 
     catalog = load_catalog(_input(args, "catalog"))
     profile_arg = args.profile or ("far_field" if args.preset == "paper" else None)
     if profile_arg is None:
         raise TradeStudyError("a --profile file or shorthand is required")
-    print(_matrix_section(catalog, _load_profile(profile_arg), args.format))
-    return EXIT_OK
+    return EXIT_OK, _matrix_section(catalog, _load_profile(profile_arg), args.format)
 
 
-def cmd_budget(args: argparse.Namespace) -> int:
+def cmd_budget(args: argparse.Namespace) -> tuple[int, str]:
     from .budget import budget_report
     from .reporting import budget_summary_lines, budget_table
 
@@ -222,58 +224,61 @@ def cmd_budget(args: argparse.Namespace) -> int:
         body_mass = spec.body_mass_kg if body_mass is None else body_mass
         distal_mass = spec.distal_mass_kg if distal_mass is None else distal_mass
     report = budget_report(mission, distal_mass or 0.0, body_mass or 0.0)
-    if args.format == "table":
-        print("\n".join(budget_summary_lines(report)))
-    print(budget_table(report, args.format, title="Mass and Buckling Budget"))
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+    section = budget_table(
+        report, args.format, title="Mass and Buckling Budget", before=budget_summary_lines(report)
+    )
+    return (EXIT_OK if report.feasible else EXIT_INFEASIBLE), section
 
 
-def cmd_coverage(args: argparse.Namespace) -> int:
-    from .geometry import effective_vertical_fov, stage_anchor, stage_plan
+def _mount_lines(spec: MountSpec, tube: TubeSection, report: CoverageReport) -> Iterator[tuple]:
+    """Each body mount's effective view and the slice analysed, as prose.
+    Generated, as is ``_plan_lines``, so that only the format printing it computes it."""
+    from .geometry import effective_vertical_fov
+
+    for mount in spec.body_mounts:
+        fov = mount.sensor.fov
+        if fov is None:
+            continue
+        vfov = fov.vertical_deg if fov.vertical_deg is not None else fov.horizontal_deg
+        # the catalog allows up to 360; a mount delivers at most 180
+        eff = effective_vertical_fov(min(vfov, 180.0), abs(mount.tilt_deg), mount.spinning)
+        kind = "spinning" if mount.spinning else "static"
+        yield "{} at {} deg ({}): effective vertical FOV {} deg", mount.sensor.id, mount.tilt_deg, kind, eff
+    yield ("analysis slice: {} m deep x {} m wide; near-field boundary {} m",
+           tube.depth, tube.width, report.near_field_max)
+
+
+def _plan_lines(spec: MountSpec, mission: MissionConfig) -> Iterator[tuple]:
+    """The mounts' stage plan, anchored as the selector anchors a suite's
+    plan; none when either placement has no ranged sensor."""
+    from .geometry import stage_anchor, stage_plan
+    from .reporting import stage_plan_lines
+
+    far = stage_anchor(m.sensor for m in spec.body_mounts)
+    near = stage_anchor(spec.distal)
+    if far is not None and near is not None:
+        yield from stage_plan_lines(stage_plan(far, near, mission.boom_length))
+
+
+def cmd_coverage(args: argparse.Namespace) -> tuple[int, str]:
     from .mounts import load_mounts
-    from .reporting import coverage_table, fmt_num, stage_plan_lines
+    from .reporting import coverage_table
 
     catalog, mission = _load_inputs(args)
     spec = load_mounts(_input(args, "mounts"), catalog)
     tube, report = _coverage(spec, mission, args.tube_depth, args.tube_width)
-    section = coverage_table(report, args.format, title="Cross-Section Coverage")
-
-    if args.format == "table":
-        lines = []
-        for mount in spec.body_mounts:
-            fov = mount.sensor.fov
-            if fov is None:
-                continue
-            vfov = fov.vertical_deg if fov.vertical_deg is not None else fov.horizontal_deg
-            # the catalog allows up to 360; a mount delivers at most 180
-            eff = effective_vertical_fov(min(vfov, 180.0), abs(mount.tilt_deg), mount.spinning)
-            kind = "spinning" if mount.spinning else "static"
-            lines.append(
-                f"{mount.sensor.id} at {fmt_num(mount.tilt_deg)} deg ({kind}): "
-                f"effective vertical FOV {fmt_num(eff)} deg"
-            )
-        lines.append(
-            f"analysis slice: {fmt_num(tube.depth)} m deep x {fmt_num(tube.width)} m wide; "
-            f"near-field boundary {fmt_num(report.near_field_max)} m"
-        )
-        lines.append(section)
-        # anchored as the selector anchors a suite's plan; no plan when
-        # either placement has no ranged sensor
-        far = stage_anchor(m.sensor for m in spec.body_mounts)
-        near = stage_anchor(spec.distal)
-        if far is not None and near is not None:
-            lines.extend(stage_plan_lines(stage_plan(far, near, mission.boom_length)))
-        section = "\n".join(lines)
-    print(section)
+    section = coverage_table(
+        report, args.format, title="Cross-Section Coverage",
+        before=_mount_lines(spec, tube, report), after=_plan_lines(spec, mission),
+    )
     not_visible = [s for s, cov in report.surfaces.items() if not cov.visible]
     if not_visible:
-        print("not visible: " + ", ".join(not_visible))
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+        return EXIT_INFEASIBLE, f"{section}\nnot visible: {', '.join(not_visible)}"
+    return EXIT_OK, section
 
 
-def cmd_select(args: argparse.Namespace) -> int:
-    from .reporting import fmt_num, sensitivity_table
+def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
+    from .reporting import sensitivity_table
     from .scoring import CriterionName
     from .selector import SWEEP_GUARD, sensitivity_report
 
@@ -300,24 +305,15 @@ def cmd_select(args: argparse.Namespace) -> int:
             )
         weights = list(range(lo, hi + 1))
         rows = sensitivity_report(catalog, rules, mission, criterion, weights)
-        print(
-            sensitivity_table(
-                rows, criterion, args.format, title=f"Sensitivity: {criterion.value} weight"
-            )
+        return EXIT_OK, sensitivity_table(
+            rows, criterion, args.format, title=f"Sensitivity: {criterion.value} weight"
         )
-        return EXIT_OK
 
-    suite, section = _selection(catalog, mission, rules, args.format)
-    if suite is not None and args.format == "table":
-        print(
-            f"body budget: {fmt_num(suite.body_mass)} of {fmt_num(rules[0].mass_budget)} kg; "
-            f"distal budget: {fmt_num(suite.distal_mass)} of {fmt_num(rules[1].mass_budget)} kg"
-        )
-    print(section)
-    return EXIT_OK if suite is not None else EXIT_INFEASIBLE
+    suite, section = _selection(catalog, mission, rules, args.format, budgets=True)
+    return (EXIT_OK if suite is not None else EXIT_INFEASIBLE), section
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     from .budget import budget_report
     from .mounts import load_mounts
     from .reporting import budget_table, coverage_table
@@ -346,9 +342,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     suite, section = _selection(catalog, mission, rules, args.format)
     sections.append(section)
 
-    print("\n\n".join(sections))
     feasible = budget.feasible and coverage.all_visible and suite is not None
-    return EXIT_OK if feasible else EXIT_INFEASIBLE
+    return (EXIT_OK if feasible else EXIT_INFEASIBLE), "\n\n".join(sections)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, output = args.func(args)
     except (TradeStudyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    sys.stdout.write(output + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Render computed results as aligned text, CSV, or Markdown.
 
-Emitters are layout-only: every number comes from an operation result and
-is formatted exactly once by :func:`fmt_num`, so the three output formats
-always carry identical numeric values.
+Emitters are layout-only: each builds rows of raw cells (numbers, text,
+booleans, ``None``) and hands them to :func:`render_table`, with any
+prose lines that belong only in the ``table`` format.  Values are
+formatted there and nowhere else: a number by :func:`fmt_num`, a boolean
+as ``yes``/``no`` and ``None`` as ``-``, the same in every format, so the
+three output formats always carry identical values.  A prose line is a
+``str.format`` template and the raw values for its fields.
 """
 
 from __future__ import annotations
@@ -18,10 +22,14 @@ if TYPE_CHECKING:  # result types, for annotations only
     from .scoring import CriterionName, DecisionMatrix
     from .selector import SensitivityRow, SuiteSolution
 
+    Cell = float | int | str | bool | None
+    Prose = tuple  # a template, then a cell for each of its fields
+
 __all__ = [
     "FORMATS",
     "fmt_num",
     "render_table",
+    "render_prose",
     "decision_matrix_table",
     "modality_overview_table",
     "budget_table",
@@ -53,8 +61,6 @@ _CRITERION_LABELS = {
 
 def fmt_num(value: float | int) -> str:
     """Canonical number rendering shared by every output format."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     if value != value:  # NaN guard; should not happen
@@ -65,11 +71,33 @@ def fmt_num(value: float | int) -> str:
     return text if text not in ("", "-") else "0"
 
 
+def _cell(value: Cell) -> str:
+    """A cell's text, the same in every format."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return value if isinstance(value, str) else fmt_num(value)
+
+
+def render_prose(lines: Iterable[Prose]) -> list[str]:
+    """Prose lines, each a template and a cell for each of its fields, as text."""
+    return [template.format(*map(_cell, cells)) for template, *cells in lines]
+
+
 def render_table(
-    headers: Sequence[str], rows: Iterable[Sequence[str]], fmt: str, title: str | None = None
+    headers: Sequence[str],
+    rows: Iterable[Sequence[Cell]],
+    fmt: str,
+    title: str | None = None,
+    before: Iterable[Prose] = (),
+    after: Iterable[Prose] = (),
 ) -> str:
-    """Render one table in the requested format."""
-    rows = [list(map(str, r)) for r in rows]
+    """Render one table of raw cells in the requested format.  ``before``
+    and ``after`` are prose lines above and below it that only ``table``
+    prints; the other formats never iterate them, so a generator there
+    does its work only for ``table``."""
+    rows = [[_cell(value) for value in row] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -79,28 +107,20 @@ def render_table(
         writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
     if fmt == "md":
-        lines = []
-        if title:
-            lines.append(f"## {title}")
-            lines.append("")
+        lines = [f"## {title}", ""] if title else []
         lines.append("| " + " | ".join(headers) + " |")
         lines.append("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines)
     if fmt == "table":
-        widths = [len(h) for h in headers]
-        for row in rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = []
-        if title:
-            lines.append(f"== {title} ==")
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        lines = [f"== {title} =="] if title else []
         lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
         lines.append("  ".join("-" * w for w in widths))
         for row in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(line.rstrip() for line in lines)
+        return "\n".join([*render_prose(before), *(line.rstrip() for line in lines), *render_prose(after)])
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -113,22 +133,13 @@ def decision_matrix_table(
         + [_CRITERION_LABELS[c.value] for c in matrix.criteria]
         + ["Weighted Sum", "Eligible", "Failing"]
     )
-    weight_row = (
-        ["(weights)"]
-        + [fmt_num(matrix.weights[c]) for c in matrix.criteria]
-        + ["", "", ""]
-    )
-    rows = [weight_row]
+    rows = [["(weights)", *(matrix.weights[c] for c in matrix.criteria), "", "", ""]]
     for sid in matrix.sensor_ids:
         failing = matrix.failing[sid]
         rows.append(
             [catalog.get(sid).name]
-            + [fmt_num(matrix.scores[sid][c]) for c in matrix.criteria]
-            + [
-                fmt_num(matrix.weighted_sums[sid]),
-                "no" if failing else "yes",
-                ",".join(c.value for c in failing) or "-",
-            ]
+            + [matrix.scores[sid][c] for c in matrix.criteria]
+            + [matrix.weighted_sums[sid], not failing, ",".join(c.value for c in failing) or None]
         )
     return render_table(headers, rows, fmt, title=title)
 
@@ -145,124 +156,112 @@ def modality_overview_table(
     rows = []
     for modality, cells in table.items():
         exemplar_id = exemplars.get(modality)
-        exemplar = catalog.get(exemplar_id).name if exemplar_id else "-"
+        exemplar = catalog.get(exemplar_id).name if exemplar_id else None
         words = {c.value: grade.word for c, grade in cells.items()}
         rows.append([modality.value, exemplar] + [words[c] for c in _CRITERION_LABELS])
     return render_table(headers, rows, fmt, title=title)
 
 
-def budget_table(report: BudgetReport, fmt: str, title: str | None = None) -> str:
+def budget_table(
+    report: BudgetReport, fmt: str, title: str | None = None, before: Iterable[Prose] = ()
+) -> str:
     """Machine-readable field/value rendering of a budget report."""
     rows = [
-        ["boom_mass_kg", fmt_num(report.boom_mass)],
-        ["total_boom_mass_kg", fmt_num(report.total_boom_mass)],
-        ["body_sensor_budget_kg", fmt_num(report.body_sensor_budget)],
-        ["distal_sensor_budget_kg", fmt_num(report.distal_sensor_budget)],
-        ["body_sensor_mass_kg", fmt_num(report.body_sensor_mass)],
-        ["distal_sensor_mass_kg", fmt_num(report.distal_sensor_mass)],
-        ["shoulder_moment_nm", fmt_num(report.shoulder_moment)],
-        ["allowable_moment_nm", fmt_num(report.allowable_moment)],
-        ["pulloff_capacity_n", fmt_num(report.pulloff_capacity)],
-        ["weight_on_grippers_n", fmt_num(report.weight_on_grippers)],
-        ["body_margin_kg", fmt_num(report.body_margin)],
-        ["distal_margin_kg", fmt_num(report.distal_margin)],
-        ["pulloff_margin_n", fmt_num(report.pulloff_margin)],
-        ["feasible", "yes" if report.feasible else "no"],
+        ["boom_mass_kg", report.boom_mass],
+        ["total_boom_mass_kg", report.total_boom_mass],
+        ["body_sensor_budget_kg", report.body_sensor_budget],
+        ["distal_sensor_budget_kg", report.distal_sensor_budget],
+        ["body_sensor_mass_kg", report.body_sensor_mass],
+        ["distal_sensor_mass_kg", report.distal_sensor_mass],
+        ["shoulder_moment_nm", report.shoulder_moment],
+        ["allowable_moment_nm", report.allowable_moment],
+        ["pulloff_capacity_n", report.pulloff_capacity],
+        ["weight_on_grippers_n", report.weight_on_grippers],
+        ["body_margin_kg", report.body_margin],
+        ["distal_margin_kg", report.distal_margin],
+        ["pulloff_margin_n", report.pulloff_margin],
+        ["feasible", report.feasible],
     ]
-    for i, reason in enumerate(report.reasons):
-        rows.append([f"reason_{i}", reason])
-    return render_table(["field", "value"], rows, fmt, title=title)
+    rows += ([f"reason_{i}", reason] for i, reason in enumerate(report.reasons))
+    return render_table(["field", "value"], rows, fmt, title=title, before=before)
 
 
-def budget_summary_lines(report: BudgetReport) -> list[str]:
+def budget_summary_lines(report: BudgetReport) -> list[Prose]:
     """Human-oriented one-liners accompanying the budget table."""
-    lines = [
-        f"one boom: {fmt_num(report.boom_mass)} kg; all booms: "
-        f"{fmt_num(report.total_boom_mass)} kg (~{fmt_num(round(report.total_boom_mass))} kg)",
-        f"body sensor budget: {fmt_num(report.body_sensor_budget)} kg "
-        f"(~{fmt_num(round(report.body_sensor_budget, 1))} kg)",
-        f"boom-tip sensor budget: {fmt_num(report.distal_sensor_budget)} kg",
-        f"shoulder moment at {fmt_num(report.distal_sensor_mass)} kg tip mass: "
-        f"{fmt_num(report.shoulder_moment)} N*m vs allowable {fmt_num(report.allowable_moment)} N*m",
+    return [
+        ("one boom: {} kg; all booms: {} kg (~{} kg)",
+         report.boom_mass, report.total_boom_mass, round(report.total_boom_mass)),
+        ("body sensor budget: {} kg (~{} kg)", report.body_sensor_budget, round(report.body_sensor_budget, 1)),
+        ("boom-tip sensor budget: {} kg", report.distal_sensor_budget),
+        ("shoulder moment at {} kg tip mass: {} N*m vs allowable {} N*m",
+         report.distal_sensor_mass, report.shoulder_moment, report.allowable_moment),
+        *(("infeasible: {}", reason) for reason in report.reasons),
     ]
-    if report.reasons:
-        lines.extend(f"infeasible: {r}" for r in report.reasons)
-    return lines
 
 
-def coverage_table(report: CoverageReport, fmt: str, title: str | None = None) -> str:
+def coverage_table(
+    report: CoverageReport,
+    fmt: str,
+    title: str | None = None,
+    before: Iterable[Prose] = (),
+    after: Iterable[Prose] = (),
+) -> str:
     headers = ["Surface", "Visible", "Beyond Range", "Min Slant (m)", "Seen By"]
-    rows = []
-    for cov in report.surfaces.values():
-        rows.append(
-            [
-                cov.surface,
-                "yes" if cov.visible else "no",
-                "yes" if cov.beyond_range else "no",
-                fmt_num(cov.min_slant_m) if cov.min_slant_m is not None else "-",
-                ",".join(cov.seen_by) or "-",
-            ]
-        )
-    return render_table(headers, rows, fmt, title=title)
+    rows = [
+        [cov.surface, cov.visible, cov.beyond_range, cov.min_slant_m, ",".join(cov.seen_by) or None]
+        for cov in report.surfaces.values()
+    ]
+    return render_table(headers, rows, fmt, title=title, before=before, after=after)
 
 
-def stage_plan_lines(plan: StagePlan) -> list[str]:
+def stage_plan_lines(plan: StagePlan) -> list[Prose]:
     lines = [
-        f"stage plan: far={plan.far_sensor_id} near={plan.near_sensor_id}",
-        f"near-field boundary: {fmt_num(plan.near_field_max)} m; "
-        f"far stage {fmt_num(plan.far_field_min)}-{fmt_num(plan.far_field_max)} m (credit-capped)",
-        f"switchover overlap: {fmt_num(plan.overlap)} m",
+        ("stage plan: far={} near={}", plan.far_sensor_id, plan.near_sensor_id),
+        ("near-field boundary: {} m; far stage {}-{} m (credit-capped)",
+         plan.near_field_max, plan.far_field_min, plan.far_field_max),
+        ("switchover overlap: {} m", plan.overlap),
     ]
     if plan.valid:
-        lines.append("stage plan: valid")
+        lines.append(("stage plan: valid",))
     elif plan.marginal:
-        lines.append(
-            f"stage plan: marginal - blind band of {fmt_num(plan.blind_band)} m "
-            f"({fmt_num(plan.near_field_max - plan.blind_band)}-{fmt_num(plan.near_field_max)} m)"
-        )
+        lines.append(("stage plan: marginal - blind band of {} m ({}-{} m)",
+                      plan.blind_band, plan.near_field_max - plan.blind_band, plan.near_field_max))
     else:
-        lines.append("stage plan: invalid")
+        lines.append(("stage plan: invalid",))
     return lines
 
 
-def selection_lines(suite: SuiteSolution, fmt: str, title: str | None = None) -> str:
+def selection_lines(
+    suite: SuiteSolution, fmt: str, title: str | None = None, before: Iterable[Prose] = ()
+) -> str:
     """Chosen suite plus the justification trace (margins, ties, warnings)."""
     rows = [
-        ["body_sensors", ",".join(suite.body_sensors) or "-"],
-        ["distal_sensors", ",".join(suite.distal_sensors) or "-"],
-        ["body_mass_kg", fmt_num(suite.body_mass)],
-        ["distal_mass_kg", fmt_num(suite.distal_mass)],
-        ["total_price_usd", fmt_num(suite.total_price)],
-        ["aggregate_score", fmt_num(suite.aggregate_score)],
+        ["body_sensors", ",".join(suite.body_sensors) or None],
+        ["distal_sensors", ",".join(suite.distal_sensors) or None],
+        ["body_mass_kg", suite.body_mass],
+        ["distal_mass_kg", suite.distal_mass],
+        ["total_price_usd", suite.total_price],
+        ["aggregate_score", suite.aggregate_score],
     ]
     if suite.stage_plan is not None:
         plan = suite.stage_plan
         status = "valid" if plan.valid else ("marginal" if plan.marginal else "invalid")
         rows.append(["stage_plan", status])
-        rows.append(["stage_overlap_m", fmt_num(plan.overlap)])
+        rows.append(["stage_overlap_m", plan.overlap])
         if plan.blind_band > 0:
-            rows.append(["stage_blind_band_m", fmt_num(plan.blind_band)])
-    for i, note in enumerate(suite.notes):
-        rows.append([f"note_{i}", note])
-    for i, warning in enumerate(suite.warnings):
-        rows.append([f"warning_{i}", warning])
-    return render_table(["field", "value"], rows, fmt, title=title)
+            rows.append(["stage_blind_band_m", plan.blind_band])
+    rows += ([f"note_{i}", note] for i, note in enumerate(suite.notes))
+    rows += ([f"warning_{i}", warning] for i, warning in enumerate(suite.warnings))
+    return render_table(["field", "value"], rows, fmt, title=title, before=before)
 
 
 def sensitivity_table(
     rows: list[SensitivityRow], criterion: CriterionName, fmt: str, title: str | None = None
 ) -> str:
     headers = ["Weight", "Body", "Distal", "Score", "Changed", "Notes"]
-    table_rows = []
-    for row in rows:
-        table_rows.append(
-            [
-                fmt_num(row.weight),
-                ",".join(row.body_sensors) or "-",
-                ",".join(row.distal_sensors) or "-",
-                fmt_num(row.aggregate_score),
-                "yes" if row.changed else "no",
-                "; ".join(row.notes) or "-",
-            ]
-        )
+    table_rows = [
+        [row.weight, ",".join(row.body_sensors) or None, ",".join(row.distal_sensors) or None,
+         row.aggregate_score, row.changed, "; ".join(row.notes) or None]
+        for row in rows
+    ]
     return render_table(headers, table_rows, fmt, title=title)

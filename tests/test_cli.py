@@ -282,6 +282,19 @@ def test_coverage_without_a_ranged_tip_sensor_leaves_out_the_stage_plan(capsys, 
     assert "error:" not in err
 
 
+@pytest.mark.parametrize("fmt, plans", [("table", 1), ("csv", 0), ("md", 0)])
+def test_coverage_plans_only_for_the_format_that_prints_the_plan(capsys, monkeypatch, fmt, plans):
+    from boomsuite import geometry
+
+    calls = []
+    plan = geometry.stage_plan
+    monkeypatch.setattr(geometry, "stage_plan", lambda *a: calls.append(a) or plan(*a))
+    code, out, _ = run(capsys, "coverage", "--preset", "paper", "--format", fmt)
+    assert code == 0
+    assert len(calls) == plans
+    assert ("stage plan: valid" in out or "stage plan: marginal" in out) == bool(plans)
+
+
 def test_coverage_plans_against_the_longest_range_tip_sensor(capsys, tmp_path):
     mounts = _mutated(tmp_path, "paper_mounts.yaml", lambda d: d.__setitem__("distal_sensors", ["d435i", "zed2"]))
     code, out, _ = run(capsys, "coverage", "--preset", "paper", "--mounts", mounts)
