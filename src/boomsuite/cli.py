@@ -2,13 +2,16 @@
 
 A batch tool: all inputs are files plus flags, no prompts, and identical
 inputs produce byte-identical output.  Exit codes: 0 success, 1 the
-analysis ran but the result is infeasible, 2 input or validation error.
+analysis ran but the result is infeasible, 2 input or validation error
+or output that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -279,8 +282,7 @@ def cmd_coverage(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
     from .reporting import sensitivity_table
-    from .scoring import CriterionName
-    from .selector import SWEEP_GUARD, sensitivity_report
+    from .selector import sensitivity_report
 
     catalog, mission = _load_inputs(args)
     far_profile = _load_profile(args.far_profile or "far_field")
@@ -288,22 +290,7 @@ def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
     rules = _default_rules(mission, far_profile, near_profile, args)
 
     if args.sweep is not None:
-        crit_name, lo, hi = args.sweep
-        try:
-            criterion = CriterionName(crit_name)
-        except ValueError:
-            raise TradeStudyError(f"unknown criterion {crit_name!r}") from None
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise TradeStudyError(f"--sweep MIN and MAX must be integers, got {lo!r} and {hi!r}") from None
-        if lo > hi:
-            raise TradeStudyError(f"--sweep MIN {lo} is greater than MAX {hi}")
-        if hi - lo + 1 > SWEEP_GUARD:
-            raise TradeStudyError(
-                f"--sweep {lo}..{hi} spans {hi - lo + 1} weights; at most {SWEEP_GUARD} are allowed"
-            )
-        weights = list(range(lo, hi + 1))
+        criterion, weights = args.sweep
         rows = sensitivity_report(catalog, rules, mission, criterion, weights)
         return EXIT_OK, sensitivity_table(
             rows, criterion, args.format, title=f"Sensitivity: {criterion.value} weight"
@@ -350,6 +337,36 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
 # argument wiring
 
 
+class _Sweep(argparse.Action):
+    """``--sweep CRITERION MIN MAX``, checked as it is parsed, so before any
+    file is read: a criterion name and integer weights 0 <= MIN <= MAX, at
+    most ``SWEEP_GUARD`` of them.  Stores the criterion and the weights."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .scoring import CriterionName
+        from .selector import SWEEP_GUARD
+
+        name, lo, hi = values
+        try:
+            criterion = CriterionName(name)
+        except ValueError:
+            names = ", ".join(c.value for c in CriterionName)
+            raise argparse.ArgumentError(self, f"CRITERION must be one of: {names}; got {name!r}") from None
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise argparse.ArgumentError(self, f"MIN and MAX must be integers, got {lo!r} and {hi!r}") from None
+        if lo < 0:
+            raise argparse.ArgumentError(self, f"MIN must be >= 0, got {lo}")
+        if lo > hi:
+            raise argparse.ArgumentError(self, f"MIN {lo} is greater than MAX {hi}")
+        if hi - lo + 1 > SWEEP_GUARD:
+            raise argparse.ArgumentError(
+                self, f"{lo}..{hi} spans {hi - lo + 1} weights; at most {SWEEP_GUARD} are allowed"
+            )
+        setattr(namespace, self.dest, (criterion, list(range(lo, hi + 1))))
+
+
 _EVERY = ("evaluate", "budget", "coverage", "select", "report")
 _SELECTING = ("select", "report")
 _MASS, _LENGTH, _COUNT = _bounded(float, 0), _bounded(float, 0, strict=True), _bounded(int, 1)
@@ -374,7 +391,8 @@ _FLAGS: list[tuple[str, tuple[str, ...], dict]] = [
     ("--distal-max", _SELECTING, dict(type=_COUNT, default=1, help="max sensors at the boom tip")),
     ("--redundancy", _SELECTING, dict(action="store_true", help="require two dust-robust modalities on the body")),
     ("--sweep", ("select",), dict(
-        nargs=3, metavar=("CRITERION", "MIN", "MAX"), help="sweep one criterion's weight over an integer range"
+        action=_Sweep, nargs=3, metavar=("CRITERION", "MIN", "MAX"),
+        help="sweep one criterion's weight over an integer range",
     )),
 ]
 
@@ -409,7 +427,18 @@ def main(argv: list[str] | None = None) -> int:
     except (TradeStudyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    sys.stdout.write(output + "\n")
+    # The one write.  A failed one exits 2, not 1, which would read as infeasible.
+    try:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(output + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        if exc.errno != errno.EPIPE:  # nothing to tell a reader that has gone
+            sys.stderr.write(f"error: cannot write output: {exc.strerror}\n")
+        if sys.stdout is not None:  # the flush at exit then goes to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return code
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: reproductions, formats, determinism, exit codes."""
 
 import argparse
+import errno
 import os
 import re
 import subprocess
@@ -198,9 +199,10 @@ def test_bad_catalog_exits_two(capsys, tmp_path):
 
 
 def test_unknown_sweep_criterion_exits_two(capsys):
-    code, _, err = run(capsys, "select", "--preset", "paper", "--sweep", "beauty", "0", "2")
-    assert code == 2
-    assert "beauty" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--preset", "paper", "--sweep", "beauty", "0", "2"])
+    assert exc.value.code == 2
+    assert "argument --sweep: CRITERION must be one of: resolution," in capsys.readouterr().err
 
 
 def test_report_parses_each_file_once(capsys, monkeypatch, tmp_path):
@@ -422,15 +424,26 @@ DEFECTS = {
     ),
     "empty-sweep-range": (
         lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "4", "0"],
-        "error: --sweep MIN 4 is greater than MAX 0",
+        "argument --sweep: MIN 4 is greater than MAX 0",
     ),
     "sweep-bound-not-an-integer": (
         lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "0", "x"],
-        "error: --sweep MIN and MAX must be integers, got '0' and 'x'",
+        "argument --sweep: MIN and MAX must be integers, got '0' and 'x'",
     ),
     "sweep-range-too-wide": (
         lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "0", "100000000"],
-        "error: --sweep 0..100000000 spans 100000001 weights; at most 1000 are allowed",
+        "argument --sweep: 0..100000000 spans 100000001 weights; at most 1000 are allowed",
+    ),
+    "sweep-negative-min": (
+        lambda tmp: ["select", "--preset", "paper", "--sweep", "affordability", "-1", "3"],
+        "argument --sweep: MIN must be >= 0, got -1",
+    ),
+    "sweep-checked-before-any-file": (
+        lambda tmp: [
+            "select", "--catalog", str(tmp / "missing.yaml"), "--mission", str(tmp / "missing.yaml"),
+            "--sweep", "range", "4", "0",
+        ],
+        "argument --sweep: MIN 4 is greater than MAX 0",
     ),
     "criterion-entry-is-a-string": (
         lambda tmp: [
@@ -616,3 +629,41 @@ def test_bad_input_exits_two_without_traceback(tmp_path, case):
     assert "Traceback" not in result.stderr
     assert message in result.stderr
     assert result.stdout == ""
+
+
+def _cli_writing_to(stdout, *argv, **options):
+    src = Path(boomsuite.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "boomsuite.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        **options,
+    )
+
+
+def test_a_reader_that_has_gone_exits_two_in_silence():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the command starts, so the write always fails
+    try:
+        result = _cli_writing_to(write_end, "report", "--preset", "paper", "--format", "md")
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == ""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_full_disk_exits_two_with_an_error_line():
+    with open("/dev/full", "w") as full:
+        result = _cli_writing_to(full, "select", "--preset", "paper")
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write output: No space left on device\n"
+
+
+def test_a_closed_stdout_exits_two_with_an_error_line():
+    result = _cli_writing_to(None, "evaluate", "--preset", "paper", preexec_fn=lambda: os.close(1))
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write output: {os.strerror(errno.EBADF)}\n"

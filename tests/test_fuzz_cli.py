@@ -3,11 +3,13 @@
 Every command, run on mutated copies of the bundled fixtures (keys
 dropped, values swapped for other types, NaN, infinities, negatives) and
 with mutated flags, returns 0, 1 or 2, and lets no exception other than
-argparse's ``SystemExit`` escape.  A return of 2 comes with an ``error:``
-line, and the code is the same in every ``--format``.  A command that
-prints its tables (0 or 1) prints the same cells, table by table, and the
-same other lines in ``csv`` and ``md``.  The examples are derandomized, so
-a run is repeatable.
+argparse's ``SystemExit`` escape.  Other draws perturb only within
+bounds (numbers nudged, flags inside their bounds), so that most of them
+reach the tables; every draw writes its file's keys in a shuffled order.
+A return of 2 comes with an ``error:`` line, and the code is the same
+in every ``--format``.  A command that prints its tables (0 or 1) prints
+the same cells, table by table, and the same other lines in ``csv`` and
+``md``.  The examples are derandomized, so a run is repeatable.
 """
 
 import contextlib
@@ -43,6 +45,8 @@ FILE_FLAGS = {
 
 _NUMBERS = ["0", "1e-9", "0.05", "0.5", "1", "3", "10", "300", "1e308", "nan", "-inf", "-1", "abc"]
 _COUNTS = ["1", "2", "3", "12", "0", "-1", "x"]
+# The texts above inside every number flag's bounds (masses >= 0, lengths > 0, counts >= 1).
+IN_BOUNDS = {"1e-9", "0.05", "0.5", "1", "3", "10", "300", "2", "12"}
 # Value flags each command takes, with the texts to try.
 VALUE_FLAGS = {
     "evaluate": {},
@@ -66,24 +70,56 @@ VALUES = st.one_of(
 )
 
 
-def _mutate(data, doc) -> None:
-    """Drop one field of ``doc``, or give it another value, at a depth
-    chosen as the draw walks down."""
+def _field(data, doc):
+    """A field of ``doc``, as its container and key, at a depth chosen as
+    the draw walks down; None for an empty ``doc``."""
     node = doc
     while True:
         keys = sorted(node, key=str) if isinstance(node, dict) else list(range(len(node)))
         if not keys:
-            return
+            return None
         key = data.draw(st.sampled_from(keys))
         child = node[key]
         if isinstance(child, (dict, list)) and child and data.draw(st.integers(0, 3)):
             node = child
             continue
-        if data.draw(st.booleans()):
-            del node[key]
-        else:
-            node[key] = data.draw(VALUES)
+        return node, key
+
+
+def _mutate(data, doc) -> None:
+    """Drop one field of ``doc``, or give it another value."""
+    field = _field(data, doc)
+    if field is None:
         return
+    node, key = field
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(VALUES)
+
+
+def _nudge(data, doc) -> None:
+    """Move one number of ``doc`` by up to 10%, keeping its type; an
+    integer below 5 stays as it is, since most are scores, weights or grades."""
+    field = _field(data, doc)
+    if field is None:
+        return
+    node, key = field
+    value = node[key]
+    if isinstance(value, float) or (type(value) is int and value >= 5):
+        moved = value * data.draw(st.sampled_from([0.9, 0.95, 1.05, 1.1]))
+        node[key] = round(moved) if isinstance(value, int) else moved
+
+
+def _shuffled(node, rnd):
+    """``node`` with the keys of every mapping in it in a random order."""
+    if isinstance(node, dict):
+        keys = list(node)
+        rnd.shuffle(keys)
+        return {key: _shuffled(node[key], rnd) for key in keys}
+    if isinstance(node, list):
+        return [_shuffled(item, rnd) for item in node]
+    return node
 
 
 def _argv(data, workdir: Path) -> list[str]:
@@ -92,19 +128,26 @@ def _argv(data, workdir: Path) -> list[str]:
     files = FILE_FLAGS[command]
     fixture = data.draw(st.sampled_from(sorted(files)))
     doc = yaml.safe_load(bundled_path(fixture).read_text(encoding="utf-8"))
-    for _ in range(data.draw(st.integers(0, 3))):
-        _mutate(data, doc)
+    in_bounds = data.draw(st.booleans())
+    for _ in range(data.draw(st.integers(1, 3))):
+        (_nudge if in_bounds else _mutate)(data, doc)
     path = workdir / fixture
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    rnd = data.draw(st.randoms(use_true_random=False))
+    path.write_text(yaml.safe_dump(_shuffled(doc, rnd), sort_keys=False), encoding="utf-8")
     argv += [files[fixture], str(path)]
     for flag, texts in VALUE_FLAGS[command].items():
         if data.draw(st.booleans()):
+            texts = [text for text in texts if text in IN_BOUNDS] if in_bounds else texts
             argv.append(f"{flag}={data.draw(st.sampled_from(texts))}")
     if command in ("select", "report") and data.draw(st.booleans()):
         argv.append("--redundancy")
     if command == "select" and data.draw(st.booleans()):
-        criterion = data.draw(st.sampled_from(["affordability", "dust", "range", "beauty"]))
-        lo, hi = (data.draw(st.sampled_from(["-2", "0", "3", "x", "5000"])) for _ in range(2))
+        if in_bounds:
+            criterion = data.draw(st.sampled_from(["affordability", "dust", "range"]))
+            lo, hi = map(str, sorted(data.draw(st.integers(0, 4)) for _ in range(2)))
+        else:
+            criterion = data.draw(st.sampled_from(["affordability", "dust", "range", "beauty"]))
+            lo, hi = (data.draw(st.sampled_from(["-2", "0", "3", "x", "5000"])) for _ in range(2))
         argv += ["--sweep", criterion, lo, hi]
     return argv
 
