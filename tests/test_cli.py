@@ -202,7 +202,9 @@ def test_unknown_sweep_criterion_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["select", "--preset", "paper", "--sweep", "beauty", "0", "2"])
     assert exc.value.code == 2
-    assert "argument --sweep: CRITERION must be one of: resolution," in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --sweep: CRITERION must be one of: resolution," in err
+    assert "got 'beauty'" in err
 
 
 def test_report_parses_each_file_once(capsys, monkeypatch, tmp_path):

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from boomsuite.catalog import bundled_path
-from boomsuite.cli import main
+from boomsuite.cli import build_parser, main
 from boomsuite.reporting import FORMATS
 
 # The flag that points a command at each fixture, per command.
@@ -45,8 +45,6 @@ FILE_FLAGS = {
 
 _NUMBERS = ["0", "1e-9", "0.05", "0.5", "1", "3", "10", "300", "1e308", "nan", "-inf", "-1", "abc"]
 _COUNTS = ["1", "2", "3", "12", "0", "-1", "x"]
-# The texts above inside every number flag's bounds (masses >= 0, lengths > 0, counts >= 1).
-IN_BOUNDS = {"1e-9", "0.05", "0.5", "1", "3", "10", "300", "2", "12"}
 # Value flags each command takes, with the texts to try.
 VALUE_FLAGS = {
     "evaluate": {},
@@ -56,6 +54,29 @@ VALUE_FLAGS = {
                "--body-max": _COUNTS, "--distal-max": _COUNTS},
 }
 VALUE_FLAGS["report"] = VALUE_FLAGS["select"]
+
+
+def _accepted(parser, command: str, flag: str, texts: list[str]) -> list[str]:
+    """The ``texts`` that ``command``'s parser takes as ``flag``'s value."""
+    taken = []
+    for text in texts:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parser.parse_args([command, f"{flag}={text}"])
+        except SystemExit:
+            continue
+        taken.append(text)
+    return taken
+
+
+# The texts each flag's own bounds admit (masses >= 0, lengths > 0,
+# counts >= 1), read off the parser, so that a bound and this set cannot drift.
+_PARSER = build_parser()
+IN_BOUNDS = {
+    (command, flag): _accepted(_PARSER, command, flag, texts)
+    for command, flags in VALUE_FLAGS.items()
+    for flag, texts in flags.items()
+}
 
 # What a mutated field may become: other types, non-finite and negative
 # numbers, and well-typed values out of place (another sensor id, grade or
@@ -137,7 +158,7 @@ def _argv(data, workdir: Path) -> list[str]:
     argv += [files[fixture], str(path)]
     for flag, texts in VALUE_FLAGS[command].items():
         if data.draw(st.booleans()):
-            texts = [text for text in texts if text in IN_BOUNDS] if in_bounds else texts
+            texts = IN_BOUNDS[command, flag] if in_bounds else texts
             argv.append(f"{flag}={data.draw(st.sampled_from(texts))}")
     if command in ("select", "report") and data.draw(st.booleans()):
         argv.append("--redundancy")
