@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ConfigError, ValidationError, fields_of
 
@@ -295,6 +295,17 @@ class Catalog:
 # ---------------------------------------------------------------------------
 # file parsing
 
+_Reader = Callable[[Any, str, str], Any]  # (value, subject, field path) -> the value read
+
+
+class _Table(NamedTuple):
+    """One record kind's keys, each with its reader; the keys that must be
+    present; and the key, if any, whose value names the record in errors."""
+
+    readers: dict[str, _Reader]
+    required: tuple[str, ...] = ()
+    names: str | None = None
+
 
 def _read_yaml(path: str | Path) -> Any:
     """Parse one YAML input file; every loader in the package reads through
@@ -317,24 +328,44 @@ def _read_yaml(path: str | Path) -> Any:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _require(mapping: Mapping[str, Any], key: str, subject: str) -> Any:
-    if key not in mapping or mapping[key] is None:
-        raise ValidationError(subject, key, "required field is missing")
-    return mapping[key]
+def _read(raw: Any, table: _Table, subject: str, path: str = "") -> dict[str, Any]:
+    """The mapping ``raw`` at ``path`` ("" for a whole file), read through
+    ``table``.  Each present key goes to its reader, null included, so no
+    key reads null as absent.  A required key that is absent, or a key the
+    table does not list, is an error; an optional key that is absent is
+    left out, so that the record takes its default.  Errors name
+    ``subject.path.key``; once the naming key is read, its value is the
+    subject and the path starts anew."""
+    raw = _mapping(raw, subject, path or "file")
+    prefix = f"{path}." if path else ""
+    values: dict[str, Any] = {}
+
+    def read(key: str) -> None:
+        if key in raw:
+            values[key] = table.readers[key](raw[key], subject, prefix + key)
+        elif key in table.required:
+            raise ValidationError(subject, prefix + key, "required field is missing")
+
+    if table.names is not None:
+        read(table.names)
+        name = values[table.names]
+        subject, prefix = (name.value if isinstance(name, enum.Enum) else name), ""
+    for key in raw:
+        if key not in table.readers:
+            import difflib
+
+            close = difflib.get_close_matches(str(key), list(table.readers), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ValidationError(subject, f"{prefix}{key}", "unknown field" + hint)
+    for key in table.readers:
+        if key != table.names:
+            read(key)
+    return values
 
 
 def _mapping(value: Any, subject: str, field_name: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise ValidationError(subject, field_name, "expected a mapping")
-    return value
-
-
-def _list(value: Any, subject: str, field_name: str) -> list[Any]:
-    """``value`` as a list; an absent (null) value reads as empty."""
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ValidationError(subject, field_name, f"expected a list, got {value!r}")
     return value
 
 
@@ -372,106 +403,81 @@ def _ordinal(value: Any, subject: str, field_name: str) -> Ordinal:
     raise ValidationError(subject, field_name, f"expected low/mid/high, got {value!r}")
 
 
-_E = TypeVar("_E", bound=enum.Enum)
+def _enum(kind: type[enum.Enum]) -> _Reader:
+    """The reader of ``kind``: the member whose value is the string read."""
+    members = {m.value: m for m in kind}
+    allowed = ", ".join(members)
+
+    def read(value: Any, subject: str, field_name: str) -> enum.Enum:
+        if isinstance(value, str) and value in members:
+            return members[value]
+        raise ValidationError(subject, field_name, f"must be one of: {allowed}; got {value!r}")
+
+    return read
 
 
-def _enum(value: Any, kind: type[_E], subject: str, field_name: str) -> _E:
-    """The member of ``kind`` whose value is the string ``value``."""
-    if isinstance(value, str):
-        for member in kind:
-            if member.value == value:
-                return member
-    allowed = ", ".join(m.value for m in kind)
-    raise ValidationError(subject, field_name, f"must be one of: {allowed}; got {value!r}")
+def _list(item: _Reader) -> _Reader:
+    """The reader of a list whose every entry ``item`` reads, as a tuple."""
+
+    def read(value: Any, subject: str, field_name: str) -> tuple:
+        if not isinstance(value, list):
+            raise ValidationError(subject, field_name, f"expected a list, got {value!r}")
+        return tuple(item(entry, subject, field_name) for entry in value)
+
+    return read
 
 
-def _parse_resolution(raw: Any, subject: str) -> PixelGrid | ScanPattern:
-    raw = _mapping(raw, subject, "resolution")
-    has_pixels = "pixels" in raw
-    has_scan = "scan" in raw
-    if has_pixels == has_scan:
-        raise ValidationError(
-            subject, "resolution", "exactly one of 'pixels' or 'scan' must be present"
-        )
-    if has_pixels:
-        px = _mapping(raw["pixels"], subject, "resolution.pixels")
-        return PixelGrid(
-            width_px=_integer(_require(px, "width", subject), subject, "resolution.pixels.width"),
-            height_px=_integer(_require(px, "height", subject), subject, "resolution.pixels.height"),
-        )
-    sc = _mapping(raw["scan"], subject, "resolution.scan")
-    return ScanPattern(
-        channels=_integer(_require(sc, "channels", subject), subject, "resolution.scan.channels"),
-        horizontal_res_deg=_number(
-            _require(sc, "horizontal_res_deg", subject), subject, "resolution.scan.horizontal_res_deg"
-        ),
-        vertical_res_deg=_number(
-            _require(sc, "vertical_res_deg", subject), subject, "resolution.scan.vertical_res_deg"
-        ),
-    )
+def _record(kind: Callable[..., Any], table: _Table, placeholder: bool = False) -> _Reader:
+    """The reader of a mapping that ``table`` reads into a ``kind``.  The
+    record's own errors take the mapping's place as their subject, or, for
+    a ``placeholder`` kind (errors like ``<sensor>.fov.vertical_deg``), its subject."""
+
+    def read(value: Any, subject: str, field_name: str) -> Any:
+        values = _read(value, table, subject, field_name)
+        with fields_of(subject if placeholder else f"{subject}.{field_name}"):
+            return kind(**values)
+
+    return read
 
 
-def _parse_sensor(raw: Any) -> SensorRecord:
-    raw = _mapping(raw, "<sensor>", "entry")
-    sensor_id = _text(_require(raw, "id", "<sensor>"), "<sensor>", "id")
+def _resolution(value: Any, subject: str, field_name: str) -> PixelGrid | ScanPattern:
+    forms = list(_read(value, _RESOLUTION, subject, field_name).values())
+    if len(forms) != 1:
+        raise ValidationError(subject, field_name, "exactly one of 'pixels' or 'scan' must be present")
+    return forms[0]
 
-    resolution = None
-    if raw.get("resolution") is not None:
-        resolution = _parse_resolution(raw["resolution"], sensor_id)
 
-    accuracy = None
-    if raw.get("accuracy") is not None:
-        acc = _mapping(raw["accuracy"], sensor_id, "accuracy")
-        values = {
-            key: _number(acc[key], sensor_id, f"accuracy.{key}")
-            for key in ("percent", "absolute_mm") if key in acc
-        }
-        with fields_of(sensor_id):
-            accuracy = Accuracy(**values)
+def _sensor(value: Any, subject: str, field_name: str) -> SensorRecord:
+    """A catalog entry; its name defaults to its id."""
+    values = _read(value, _SENSOR, subject, field_name)
+    return SensorRecord(**{"name": values["id"], **values})
 
-    fov = None
-    if raw.get("fov") is not None:
-        f = _mapping(raw["fov"], sensor_id, "fov")
-        horizontal = _number(_require(f, "horizontal_deg", sensor_id), sensor_id, "fov.horizontal_deg")
-        others = {
-            key: _number(f[key], sensor_id, f"fov.{key}")
-            for key in ("vertical_deg", "diagonal_deg") if f.get(key) is not None
-        }
-        with fields_of(sensor_id):
-            fov = FieldOfView(horizontal, **others)
 
-    dimensions = None
-    if raw.get("dimensions") is not None:
-        dims = _list(raw["dimensions"], sensor_id, "dimensions")
-        dimensions = tuple(_number(v, sensor_id, "dimensions") for v in dims)
-
-    def opt_number(key: str) -> float | None:
-        return None if raw.get(key) is None else _number(raw[key], sensor_id, key)
-
-    def opt_ordinal(key: str) -> Ordinal | None:
-        return None if raw.get(key) is None else _ordinal(raw[key], sensor_id, key)
-
-    return SensorRecord(
-        id=sensor_id,
-        name=sensor_id if raw.get("name") is None else _text(raw["name"], sensor_id, "name"),
-        modality=_enum(_require(raw, "modality", sensor_id), Modality, sensor_id, "modality"),
-        mass=_number(_require(raw, "mass", sensor_id), sensor_id, "mass"),
-        price=_number(_require(raw, "price", sensor_id), sensor_id, "price"),
-        resolution=resolution,
-        accuracy=accuracy,
-        fov=fov,
-        range_min=opt_number("range_min"),
-        range_max=opt_number("range_max"),
-        power=opt_number("power"),
-        darkness_robust=opt_ordinal("darkness_robust"),
-        dust_robust=opt_ordinal("dust_robust"),
-        implementation_ease=opt_ordinal("implementation_ease"),
-        dimensions=dimensions,
-        aliases=tuple(
-            _text(a, sensor_id, "aliases") for a in _list(raw.get("aliases"), sensor_id, "aliases")
-        ),
-        notes="" if raw.get("notes") is None else _text(raw["notes"], sensor_id, "notes"),
-    )
+_modality = _enum(Modality)
+_RESOLUTION = _Table({
+    "pixels": _record(
+        lambda width, height: PixelGrid(width, height),
+        _Table({"width": _integer, "height": _integer}, ("width", "height")),
+    ),
+    "scan": _record(ScanPattern, _Table(
+        {"channels": _integer, "horizontal_res_deg": _number, "vertical_res_deg": _number},
+        ("channels", "horizontal_res_deg", "vertical_res_deg"),
+    )),
+})
+_SENSOR = _Table({
+    "id": _text, "name": _text, "modality": _modality, "resolution": _resolution,
+    "accuracy": _record(Accuracy, _Table({"percent": _number, "absolute_mm": _number}), placeholder=True),
+    "fov": _record(FieldOfView, _Table(
+        {"horizontal_deg": _number, "vertical_deg": _number, "diagonal_deg": _number}, ("horizontal_deg",)
+    ), placeholder=True),
+    "range_min": _number, "range_max": _number, "power": _number,
+    "darkness_robust": _ordinal, "dust_robust": _ordinal, "implementation_ease": _ordinal,
+    "mass": _number, "dimensions": _list(_number), "price": _number,
+    "aliases": _list(_text), "notes": _text,
+}, required=("id", "modality", "mass", "price"), names="id")
+_CATALOG = _Table({"sensors": _list(_sensor)}, ("sensors",))
+_MISSION = _Table({f.name: _integer if f.type == "int" else _number for f in fields(MissionConfig)},
+                  tuple(f.name for f in fields(MissionConfig)))
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -480,18 +486,11 @@ def load_catalog(path: str | Path) -> Catalog:
     Raises ConfigError on unreadable/unparseable files and
     ValidationError (naming sensor id and field) on invariant violations.
     """
-    doc = _mapping(_read_yaml(path), "catalog", "file")
-    raw_sensors = _list(_require(doc, "sensors", "catalog"), "catalog", "sensors")
-    return Catalog(tuple(_parse_sensor(raw) for raw in raw_sensors))
+    return Catalog(_read(_read_yaml(path), _CATALOG, "catalog")["sensors"])
 
 
 def load_mission(path: str | Path) -> MissionConfig:
     """Load and validate a mission configuration file: every field of
-    MissionConfig is required, read as an integer where it is annotated
-    ``int`` and as a number otherwise."""
-    doc = _mapping(_read_yaml(path), "mission", "file")
-    kwargs: dict[str, Any] = {}
-    for f in fields(MissionConfig):
-        reader = _integer if f.type == "int" else _number
-        kwargs[f.name] = reader(_require(doc, f.name, "mission"), "mission", f.name)
-    return MissionConfig(**kwargs)
+    MissionConfig is required, an integer where it is annotated ``int``
+    and a number otherwise."""
+    return MissionConfig(**_read(_read_yaml(path), _MISSION, "mission"))

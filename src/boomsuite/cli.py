@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import NoFeasibleSuiteError, TradeStudyError, fields_of
 from .reporting import FORMATS
@@ -194,10 +194,14 @@ def _selection(
     try:
         suite = select_best(catalog, rules, mission)
     except NoFeasibleSuiteError as exc:
-        return None, "\n".join(["no feasible suite:", *(f"  - {reason}" for reason in exc.reasons)])
+        return None, _no_suite(exc)
     before = [("body budget: {} of {} kg; distal budget: {} of {} kg",
                suite.body_mass, rules[0].mass_budget, suite.distal_mass, rules[1].mass_budget)]
     return suite, selection_lines(suite, fmt, title="Selected Suite", before=before if budgets else ())
+
+
+def _no_suite(exc: NoFeasibleSuiteError) -> str:
+    return "\n".join(["no feasible suite:", *(f"  - {reason}" for reason in exc.reasons)])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +295,10 @@ def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
 
     if args.sweep is not None:
         criterion, weights = args.sweep
-        rows = sensitivity_report(catalog, rules, mission, criterion, weights)
+        try:
+            rows = sensitivity_report(catalog, rules, mission, criterion, weights)
+        except NoFeasibleSuiteError as exc:
+            return EXIT_INFEASIBLE, _no_suite(exc)
         return EXIT_OK, sensitivity_table(
             rows, criterion, args.format, title=f"Sensitivity: {criterion.value} weight"
         )
@@ -405,8 +412,18 @@ _COMMANDS = {
 }
 
 
+class _Help(Exception):
+    """``--help`` was given; the help text, for ``main`` to write."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse writes help itself and ignores a failed write; hand it to main.
+    def print_help(self, file=None) -> NoReturn:
+        raise _Help(self.format_help().removesuffix("\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boomsuite",
         description="Trade-study engine for perception sensor suites on boom-based climbers.",
     )
@@ -421,9 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, output = args.func(args)
+    except _Help as exc:
+        code, output = EXIT_OK, str(exc)
     except (TradeStudyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

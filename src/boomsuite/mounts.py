@@ -6,8 +6,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .catalog import Catalog, SensorRecord, _boolean, _list, _mapping, _number, _read_yaml, _require, _text
-from .errors import ValidationError, fields_of
+from .catalog import (
+    Catalog, SensorRecord, _Table, _boolean, _list, _number, _read, _read_yaml, _record, _text,
+)
+from .errors import ValidationError
 from .geometry import Mount, TubeSection
 
 __all__ = ["MountSpec", "load_mounts"]
@@ -35,42 +37,22 @@ class MountSpec:
 
 def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
     """Load a mount specification, resolving sensor ids against a catalog."""
-    doc = _mapping(_read_yaml(path), "mounts", "file")
 
-    def sensor(sensor_id: Any) -> SensorRecord:
-        sid = _text(sensor_id, "mounts", "sensor")
+    def sensor(value: Any, subject: str, field_name: str) -> SensorRecord:
+        # an id's errors name mounts.sensor wherever it sits
+        sid = _text(value, "mounts", "sensor")
         if sid not in catalog:
             raise ValidationError("mounts", "sensor", f"unknown sensor id {sid!r}")
         return catalog.get(sid)
 
-    mounts = []
-    for raw in _list(doc.get("body_mounts"), "mounts", "body_mounts"):
-        raw = _mapping(raw, "mounts", "body_mounts")
-        mounted = sensor(_require(raw, "sensor", "mounts"))
-        tilt = _number(raw.get("tilt_deg", 0.0), "mounts", "body_mounts.tilt_deg")
-        spinning = _boolean(raw.get("spinning", False), "mounts", "body_mounts.spinning")
-        with fields_of("mounts.body_mounts"):
-            mounts.append(Mount(sensor=mounted, tilt_deg=tilt, spinning=spinning))
-
-    tube = None
-    if doc.get("analysis_tube") is not None:
-        raw_tube = _mapping(doc["analysis_tube"], "mounts", "analysis_tube")
-        subject = "mounts.analysis_tube"
-
-        def length(key: str) -> float:
-            return _number(_require(raw_tube, key, subject), subject, key)
-
-        depth, width = length("depth"), length("width")
-        height = None if raw_tube.get("body_height") is None else length("body_height")
-        offset = 0.0 if raw_tube.get("body_offset") is None else length("body_offset")
-        with fields_of(subject):
-            tube = TubeSection(depth=depth, width=width, body_height=height, body_offset=offset)
-
+    mount = _Table({"sensor": sensor, "tilt_deg": _number, "spinning": _boolean}, ("sensor",))
+    tube = _Table({"depth": _number, "width": _number, "body_height": _number, "body_offset": _number},
+                  ("depth", "width"))
+    values = _read(_read_yaml(path), _Table({
+        "body_mounts": _list(_record(Mount, mount)), "body_axial_sensors": _list(sensor),
+        "distal_sensors": _list(sensor), "analysis_tube": _record(TubeSection, tube),
+    }), "mounts")
     return MountSpec(
-        body_mounts=tuple(mounts),
-        body_axial=tuple(
-            sensor(s) for s in _list(doc.get("body_axial_sensors"), "mounts", "body_axial_sensors")
-        ),
-        distal=tuple(sensor(s) for s in _list(doc.get("distal_sensors"), "mounts", "distal_sensors")),
-        analysis_tube=tube,
+        values.get("body_mounts", ()), values.get("body_axial_sensors", ()),
+        values.get("distal_sensors", ()), values.get("analysis_tube"),
     )

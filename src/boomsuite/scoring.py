@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping
 
 from .catalog import (
     Catalog, Modality, Ordinal, PixelGrid, SensorRecord,
-    _boolean, _enum, _list, _mapping, _number, _read_yaml, _text,
+    _Table, _boolean, _enum, _list, _mapping, _modality, _number, _read, _read_yaml, _record, _text,
 )
 from .errors import ScoringError, ValidationError
 
@@ -329,55 +329,49 @@ def modality_table(
 # profile file parsing
 
 
-def _parse_bin(raw: Any, subject: str) -> BinRule:
-    raw = _mapping(raw, subject, "bin")
-    if "ordinal_field" in raw:
-        return BinRule(ordinal_field=_text(raw["ordinal_field"], subject, "bin.ordinal_field"))
-    kwargs: dict[str, Any] = {"quantity": _text(raw.get("quantity"), subject, "bin.quantity")}
-    for key in ("high", "low"):
-        if raw.get(key) is not None:
-            kwargs[key] = _number(raw[key], subject, f"bin.{key}")
-    for key in ("higher_is_better", "high_inclusive", "low_inclusive"):
-        if key in raw:
-            kwargs[key] = _boolean(raw[key], subject, f"bin.{key}")
-    return BinRule(**kwargs)
+def _criterion(value: Any, subject: str, field_name: str) -> Criterion:
+    """A criteria entry, named by its criterion; its kind defaults to objective."""
+    values = _read(value, _CRITERION, subject, field_name)
+    kind = values.get("kind", CriterionKind.OBJECTIVE)
+    return Criterion(values["name"], kind, values["weight"], values["bin"])
+
+
+def _overrides(value: Any, subject: str, field_name: str) -> dict[str, dict[CriterionName, Any]]:
+    """sensor id -> criterion -> score; ScoringProfile checks the scores."""
+    return {
+        _text(sensor_id, subject, field_name): {
+            _criterion_name(name, sensor_id, field_name): score
+            for name, score in _mapping(cells, sensor_id, field_name).items()
+        }
+        for sensor_id, cells in _mapping(value, subject, field_name).items()
+    }
+
+
+def _exemplars(value: Any, subject: str, field_name: str) -> dict[Modality, str]:
+    """modality -> the sensor id that stands for it."""
+    return {
+        _modality(name, subject, field_name): _text(sensor_id, subject, field_name)
+        for name, sensor_id in _mapping(value, subject, field_name).items()
+    }
+
+
+_criterion_name = _enum(CriterionName)
+_CRITERION = _Table({
+    "name": _criterion_name,
+    "kind": _enum(CriterionKind),
+    "weight": lambda value, subject, field_name: value,  # Criterion checks it
+    "bin": _record(BinRule, _Table({
+        "quantity": _text, "higher_is_better": _boolean, "high": _number, "high_inclusive": _boolean,
+        "low": _number, "low_inclusive": _boolean, "ordinal_field": _text,
+    })),
+}, required=("name", "weight", "bin"), names="name")
+_PROFILE = _Table(
+    {"stage": _enum(Stage), "criteria": _list(_criterion), "overrides": _overrides,
+     "modalities": _list(_modality), "exemplars": _exemplars},
+    required=("stage", "criteria"), names="stage",
+)
 
 
 def load_profile(path: str | Path) -> ScoringProfile:
     """Load a scoring profile file (criteria, weights, bins, overrides)."""
-    doc = _mapping(_read_yaml(path), "profile", "file")
-    stage = _enum(doc.get("stage"), Stage, "profile", "stage")
-
-    criteria = []
-    for raw in _list(doc.get("criteria"), stage.value, "criteria"):
-        raw = _mapping(raw, stage.value, "criteria")
-        name = _enum(raw.get("name"), CriterionName, stage.value, "criteria.name")
-        kind = _enum(raw.get("kind", "objective"), CriterionKind, name.value, "kind")
-        bins = _parse_bin(raw.get("bin"), name.value)
-        criteria.append(Criterion(name=name, kind=kind, weight=raw.get("weight"), bins=bins))
-
-    overrides: dict[str, dict[CriterionName, int]] = {}
-    for sensor_id, cells in _mapping(doc.get("overrides") or {}, stage.value, "overrides").items():
-        sensor_id = _text(sensor_id, stage.value, "overrides")
-        overrides[sensor_id] = {
-            _enum(crit_name, CriterionName, sensor_id, "overrides"): value
-            for crit_name, value in _mapping(cells, sensor_id, "overrides").items()
-        }
-
-    modalities = None
-    if doc.get("modalities") is not None:
-        raw_modalities = _list(doc["modalities"], stage.value, "modalities")
-        modalities = tuple(_enum(m, Modality, stage.value, "modalities") for m in raw_modalities)
-
-    exemplars = {
-        _enum(mod_name, Modality, stage.value, "exemplars"): _text(sensor_id, stage.value, "exemplars")
-        for mod_name, sensor_id in _mapping(doc.get("exemplars") or {}, stage.value, "exemplars").items()
-    }
-
-    return ScoringProfile(
-        stage=stage,
-        criteria=tuple(criteria),
-        overrides=overrides,
-        modalities=modalities,
-        exemplars=exemplars,
-    )
+    return ScoringProfile(**_read(_read_yaml(path), _PROFILE, "profile"))

@@ -3,9 +3,11 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 from collections.abc import Hashable
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,13 @@ from boomsuite.catalog import (
     Accuracy,
     Catalog,
     FieldOfView,
+    MissionConfig,
     Modality,
     Ordinal,
     PixelGrid,
     ScanPattern,
     SensorRecord,
+    _SENSOR,
     bundled_path,
     load_catalog,
     load_mission,
@@ -145,7 +149,16 @@ def test_range_ordering_rejected(tmp_path):
         ({"accuracy": {"percent": 1, "absolute_mm": 5}}, "accuracy"),
         ({"resolution": {"pixels": 5}}, "resolution.pixels"),
         ({"resolution": {"pixels": {"width": 10.5, "height": 10}}}, "resolution.pixels.width"),
+        ({"resolution": {"pixels": {"height": 10}}}, "resolution.pixels.width"),
+        (
+            {"resolution": {"scan": {"channels": 16, "horizontal_res_deg": 0.2}}},
+            "resolution.scan.vertical_res_deg",
+        ),
+        ({"fov": {"vertical_deg": 30}}, "fov.horizontal_deg"),
+        ({"fov": {"horizontal_deg": 90, "vertical": 30}}, "fov.vertical"),
         ({"aliases": "abc"}, "aliases"),
+        ({"power": None}, "power"),
+        ({"dust_robst": "high"}, "dust_robst"),
     ],
 )
 def test_malformed_sensor_names_field(tmp_path, mutation, field):
@@ -153,6 +166,19 @@ def test_malformed_sensor_names_field(tmp_path, mutation, field):
     with pytest.raises(ValidationError) as exc:
         load_catalog(_write(tmp_path, doc))
     assert (exc.value.subject, exc.value.field) == ("x", field)
+
+
+def _documented_fields(heading):
+    """The first column of the table under ``## heading`` in docs/file_formats.md."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", section, re.M)
+
+
+def test_file_formats_doc_lists_every_catalog_and_mission_key():
+    sensor_keys = dict.fromkeys(name.split(".")[0] for name in _documented_fields("Sensor catalog"))
+    assert list(sensor_keys) == list(_SENSOR.readers)
+    assert _documented_fields("Mission configuration") == [f.name for f in fields(MissionConfig)]
 
 
 def test_duplicate_ids_rejected(tmp_path):
@@ -313,6 +339,41 @@ def _load_mounts(path):
     return load_mounts(path, load_catalog(bundled_path("paper_catalog.yaml")))
 
 
+# A misspelled key in each kind of record, and a key like no known one: the
+# fixture, its loader, how to put the key there, the key and the error.
+UNKNOWN_KEYS = {
+    "sensor": ("paper_catalog.yaml", load_catalog, _rename("sensors", 0, "dust_robust"), "dust_robst",
+               "rsbpearl.dust_robst: unknown field; did you mean 'dust_robust'?"),
+    "mission": ("paper_mission.yaml", load_mission, _rename("gravity"), "gravty",
+                "mission.gravty: unknown field; did you mean 'gravity'?"),
+    "mission.unlike": ("paper_mission.yaml", load_mission, _set("zzz"), 1, "mission.zzz: unknown field"),
+    "profile": ("far_field.profile", load_profile, _rename("criteria"), "critera",
+                "far_field.critera: unknown field; did you mean 'criteria'?"),
+    "criterion": ("far_field.profile", load_profile, _rename("criteria", 0, "weight"), "wieght",
+                  "resolution.wieght: unknown field; did you mean 'weight'?"),
+    "bin": ("far_field.profile", load_profile, _rename("criteria", 3, "bin", "low_inclusive"), "low_inclusve",
+            "range.bin.low_inclusve: unknown field; did you mean 'low_inclusive'?"),
+    "mounts": ("paper_mounts.yaml", _load_mounts, _rename("distal_sensors"), "distal",
+               "mounts.distal: unknown field; did you mean 'distal_sensors'?"),
+    "body_mount": ("paper_mounts.yaml", _load_mounts, _rename("body_mounts", 0, "tilt_deg"), "tilt",
+                   "mounts.body_mounts.tilt: unknown field; did you mean 'tilt_deg'?"),
+    "tube": ("paper_mounts.yaml", _load_mounts, _rename("analysis_tube", "width"), "widht",
+             "mounts.analysis_tube.widht: unknown field; did you mean 'width'?"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_an_unknown_key_is_named_with_the_known_key_it_resembles(tmp_path, case):
+    fixture, loader, put, key, message = UNKNOWN_KEYS[case]
+    doc = yaml.safe_load(bundled_path(fixture).read_text(encoding="utf-8"))
+    put(doc, key)
+    path = tmp_path / fixture
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        loader(path)
+    assert str(exc.value) == message
+
+
 # Every field read with the typed enum or text reader: the fixture, how to
 # put a value there, the ``subject.field:`` its errors start with, the one
 # an unknown string's error starts with (None: any string is valid), a
@@ -327,9 +388,10 @@ TYPED_FIELDS = {
     "criterion.kind": ("far_field.profile", load_profile, _set("criteria", 0, "kind"), "resolution.kind:",
                        "resolution.kind:", "objective", lambda p: [p.criteria[0].kind.value]),
     "bin.quantity": ("far_field.profile", load_profile, _set("criteria", 0, "bin", "quantity"),
-                     "resolution.bin.quantity:", "bin.quantity:", "mass_g", lambda p: [p.criteria[0].bins.quantity]),
+                     "resolution.bin.quantity:", "resolution.bin.quantity:", "mass_g",
+                     lambda p: [p.criteria[0].bins.quantity]),
     "bin.ordinal_field": ("far_field.profile", load_profile, _set("criteria", 4, "bin", "ordinal_field"),
-                          "darkness.bin.ordinal_field:", "bin.ordinal_field:", "dust_robust",
+                          "darkness.bin.ordinal_field:", "darkness.bin.ordinal_field:", "dust_robust",
                           lambda p: [p.criteria[4].bins.ordinal_field]),
     "overrides.sensor": ("far_field.profile", load_profile, _rename("overrides", "rsbpearl"), "far_field.overrides:",
                          None, "sonar_x", lambda p: list(p.overrides)),

@@ -149,6 +149,12 @@ def test_select_infeasible_exits_one(capsys):
     assert "no feasible suite" in out
 
 
+def test_select_sweep_infeasible_exits_one_with_the_reasons_select_gives(capsys):
+    _, plain, _ = run(capsys, "select", "--preset", "paper", "--distal-budget", "0.05")
+    swept = run(capsys, "select", "--preset", "paper", "--distal-budget", "0.05", "--sweep", "dust", "0", "2")
+    assert swept == (1, plain, "")
+
+
 def test_select_sweep_renders_sensitivity(capsys):
     code, out, _ = run(capsys, "select", "--preset", "paper", "--sweep", "affordability", "0", "4")
     assert code == 0
@@ -268,6 +274,10 @@ def _mutated(tmp_path, fixture, mutate):
 
 def _set_first_sensor(key, value):
     return lambda doc: doc["sensors"][0].__setitem__(key, value)
+
+
+def _rename_first_sensor_key(key, new):
+    return lambda doc: doc["sensors"][0].__setitem__(new, doc["sensors"][0].pop(key))
 
 
 def _sensor(doc, sensor_id):
@@ -592,6 +602,34 @@ DEFECTS = {
         lambda tmp: ["coverage", "--preset", "paper", "--tube-width", "0"],
         "argument --tube-width: must be > 0, got '0'",
     ),
+    "misspelled-sensor-key": (
+        lambda tmp: [
+            "select", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", _rename_first_sensor_key("dust_robust", "dust_robst")),
+        ],
+        "error: rsbpearl.dust_robst: unknown field; did you mean 'dust_robust'?",
+    ),
+    "pixel-grid-without-width": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", _set_first_sensor("resolution", {"pixels": {"height": 10}})),
+        ],
+        "error: rsbpearl.resolution.pixels.width: required field is missing",
+    ),
+    "bin-cutoffs-overlap": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][0]["bin"].__setitem__("high", 0.1)),
+        ],
+        "error: resolution.bin.high: high cutoff must exceed low cutoff",
+    ),
+    "bin-with-both-rule-forms": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][4]["bin"].update(quantity="mass_g")),
+        ],
+        "error: darkness.bin.quantity: exactly one of quantity/ordinal_field must be set",
+    ),
     "mounts-sensor-id-is-a-number": (
         # the catalog's id is the string "16"; the mounts file's is the number 16
         lambda tmp: [
@@ -663,6 +701,24 @@ def test_a_full_disk_exits_two_with_an_error_line():
         result = _cli_writing_to(full, "select", "--preset", "paper")
     assert result.returncode == 2
     assert result.stderr == "error: cannot write output: No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["select", "--help"]])
+def test_help_on_a_full_disk_exits_two_with_an_error_line(argv):
+    with open("/dev/full", "w") as full:
+        result = _cli_writing_to(full, *argv)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write output: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", [None, "select"])
+def test_help_is_written_whole_and_exits_zero(capsys, command):
+    parser = build_parser()
+    if command is not None:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    assert run(capsys, *([command] if command else []), "--help") == (0, parser.format_help(), "")
 
 
 def test_a_closed_stdout_exits_two_with_an_error_line():

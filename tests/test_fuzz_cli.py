@@ -1,15 +1,16 @@
 """Exit-code contract under fuzzed input.
 
 Every command, run on mutated copies of the bundled fixtures (keys
-dropped, values swapped for other types, NaN, infinities, negatives) and
-with mutated flags, returns 0, 1 or 2, and lets no exception other than
-argparse's ``SystemExit`` escape.  Other draws perturb only within
-bounds (numbers nudged, flags inside their bounds), so that most of them
-reach the tables; every draw writes its file's keys in a shuffled order.
-A return of 2 comes with an ``error:`` line, and the code is the same
-in every ``--format``.  A command that prints its tables (0 or 1) prints
-the same cells, table by table, and the same other lines in ``csv`` and
-``md``.  The examples are derandomized, so a run is repeatable.
+dropped or misspelled, values swapped for other types, NaN, infinities,
+negatives) and with mutated flags, returns 0, 1 or 2, and lets no
+exception other than argparse's ``SystemExit`` escape.  Other draws
+perturb only within bounds (numbers nudged, flags inside their bounds),
+so that most of them reach the tables; every draw writes its file's keys
+in a shuffled order.  A return of 2 comes with an ``error:`` line, and
+the code is the same in every ``--format``.  A command that prints its
+tables (0 or 1) prints the same cells, table by table, and the same
+other lines in ``csv`` and ``md``.  The examples are derandomized, so a
+run is repeatable.
 """
 
 import contextlib
@@ -108,13 +109,16 @@ def _field(data, doc):
 
 
 def _mutate(data, doc) -> None:
-    """Drop one field of ``doc``, or give it another value."""
+    """Drop one field of ``doc``, misspell its key, or give it another value."""
     field = _field(data, doc)
     if field is None:
         return
     node, key = field
-    if data.draw(st.booleans()):
+    change = data.draw(st.sampled_from(["drop", "rename", "set"]))
+    if change == "drop":
         del node[key]
+    elif change == "rename" and isinstance(node, dict):
+        node[f"{key}x"] = node.pop(key)
     else:
         node[key] = data.draw(VALUES)
 
