@@ -8,60 +8,41 @@ between the placements.
 
 from boomsuite import (
     CriterionName,
-    Modality,
-    budget_report,
     bundled_path,
     enumerate_suites,
     load_catalog,
     load_mission,
     load_profile,
+    paper_rules,
     select_best,
     sensitivity_report,
 )
 from boomsuite.reporting import selection_lines, sensitivity_table
-from boomsuite.selector import Placement, PlacementRule
 
 catalog = load_catalog(bundled_path("paper_catalog.yaml"))
 mission = load_mission(bundled_path("paper_mission.yaml"))
 far = load_profile(bundled_path("far_field.profile"))
 near = load_profile(bundled_path("near_field.profile"))
-envelope = budget_report(mission)
 
-
-def rules(body_max=1, redundancy=False):
-    return [
-        PlacementRule(
-            placement=Placement.BODY,
-            mass_budget=envelope.body_sensor_budget,
-            profile=far,
-            max_sensors=2 if redundancy else body_max,
-            modalities=(Modality.LIDAR, Modality.RADAR),
-            min_dust_robust_modalities=2 if redundancy else 0,
-        ),
-        PlacementRule(
-            placement=Placement.DISTAL,
-            mass_budget=envelope.distal_sensor_budget,
-            profile=near,
-            max_sensors=1,
-            modalities=(Modality.CAMERA2D, Modality.CAMERA3D),
-        ),
-    ]
-
+# The paper's placement policy: lidar or radar on the body, a camera at
+# the boom tip, each within the mission's mass budget.
+single = paper_rules(mission, far, near)
+redundant = paper_rules(mission, far, near, redundancy=True)
 
 # One primary unit per placement.  The far-field race ends in a tie that
 # the price tie-break settles.
-print(selection_lines(select_best(catalog, rules(), mission), "table",
+print(selection_lines(select_best(catalog, single, mission), "table",
                       title="one sensor per placement"))
 print()
 
 # Demand two dust-robust modalities on the body and a radar joins.
-print(selection_lines(select_best(catalog, rules(redundancy=True), mission), "table",
+print(selection_lines(select_best(catalog, redundant, mission), "table",
                       title="with dust redundancy required"))
 print()
 
 # Exhaustive enumeration backs the search: same maximum, every feasible
 # combination listed.
-suites = enumerate_suites(catalog, rules(redundancy=True), mission)
+suites = enumerate_suites(catalog, redundant, mission)
 print(f"feasible suites under the redundancy rules: {len(suites)}")
 top = sorted(suites, key=lambda s: -s.aggregate_score)[:5]
 for s in top:
@@ -71,6 +52,6 @@ print()
 
 # How sensitive is the pick to the affordability weight?  At weight 0 the
 # pricier unit wins outright; by weight 2 the owned unit is back on top.
-rows = sensitivity_report(catalog, rules(), mission, CriterionName.AFFORDABILITY, [0, 1, 2, 3, 4])
+rows = sensitivity_report(catalog, single, mission, CriterionName.AFFORDABILITY, [0, 1, 2, 3, 4])
 print(sensitivity_table(rows, CriterionName.AFFORDABILITY, "table",
                         title="affordability weight sweep"))

@@ -79,6 +79,7 @@ _EXPORTS = {
             "SensitivityRow",
             "SuiteSolution",
             "enumerate_suites",
+            "paper_rules",
             "select_best",
             "sensitivity_report",
         ),

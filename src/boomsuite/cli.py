@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from .errors import NoFeasibleSuiteError, TradeStudyError, fields_of
+from .errors import NoFeasibleSuiteError, TradeStudyError, ValidationError, fields_of
 from .reporting import FORMATS
 
 if TYPE_CHECKING:
@@ -94,49 +94,6 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Catalog, MissionConfig]:
     return load_catalog(_input(args, "catalog")), load_mission(_input(args, "mission"))
 
 
-def _default_rules(
-    mission: MissionConfig,
-    far_profile: ScoringProfile,
-    near_profile: ScoringProfile,
-    args: argparse.Namespace,
-) -> list[PlacementRule]:
-    """Body + distal rules with budgets derived from the mission unless
-    ``--body-budget``/``--distal-budget`` give them.  The body admits only
-    lidar and radar and the boom tip only 2D and 3D cameras, whatever
-    modalities the profiles list."""
-    from .budget import budget_report
-    from .catalog import Modality
-    from .selector import Placement, PlacementRule
-
-    report = budget_report(mission)
-    body_budget = args.body_budget if args.body_budget is not None else report.body_sensor_budget
-    distal_budget = (
-        args.distal_budget if args.distal_budget is not None else report.distal_sensor_budget
-    )
-    body_max = args.body_max
-    min_dust_modalities = 0
-    if args.redundancy:
-        body_max = max(body_max, 2)
-        min_dust_modalities = 2
-    return [
-        PlacementRule(
-            placement=Placement.BODY,
-            mass_budget=body_budget,
-            profile=far_profile,
-            max_sensors=body_max,
-            modalities=(Modality.LIDAR, Modality.RADAR),
-            min_dust_robust_modalities=min_dust_modalities,
-        ),
-        PlacementRule(
-            placement=Placement.DISTAL,
-            mass_budget=distal_budget,
-            profile=near_profile,
-            max_sensors=args.distal_max,
-            modalities=(Modality.CAMERA2D, Modality.CAMERA3D),
-        ),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # sections, each printed by its own command and again by ``report``
 
@@ -178,7 +135,7 @@ def _coverage(
             width=tube.width if width is None else width,
         )
     if not spec.body_mounts:
-        raise TradeStudyError("mount specification lists no body mounts")
+        raise ValidationError("mounts", "body_mounts", "coverage needs at least one body mount")
     return tube, section_coverage(list(spec.body_mounts), tube, mission.boom_length)
 
 
@@ -286,12 +243,15 @@ def cmd_coverage(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
     from .reporting import sensitivity_table
-    from .selector import sensitivity_report
+    from .selector import paper_rules, sensitivity_report
 
     catalog, mission = _load_inputs(args)
     far_profile = _load_profile(args.far_profile or "far_field")
     near_profile = _load_profile(args.near_profile or "near_field")
-    rules = _default_rules(mission, far_profile, near_profile, args)
+    rules = paper_rules(
+        mission, far_profile, near_profile, body_max=args.body_max, distal_max=args.distal_max,
+        redundancy=args.redundancy, body_budget=args.body_budget, distal_budget=args.distal_budget,
+    )
 
     if args.sweep is not None:
         criterion, weights = args.sweep
@@ -311,6 +271,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     from .budget import budget_report
     from .mounts import load_mounts
     from .reporting import budget_table, coverage_table
+    from .selector import paper_rules
 
     catalog, mission = _load_inputs(args)
     # The bundled far- and near-field profiles feed both the matrices and,
@@ -332,7 +293,10 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
         far_profile = _load_profile(args.far_profile)
     if (args.near_profile or "near_field") != "near_field":
         near_profile = _load_profile(args.near_profile)
-    rules = _default_rules(mission, far_profile, near_profile, args)
+    rules = paper_rules(
+        mission, far_profile, near_profile, body_max=args.body_max, distal_max=args.distal_max,
+        redundancy=args.redundancy, body_budget=args.body_budget, distal_budget=args.distal_budget,
+    )
     suite, section = _selection(catalog, mission, rules, args.format)
     sections.append(section)
 

@@ -3,7 +3,7 @@
 Chooses body and boom-tip sensor sets maximizing the summed weighted
 scores, subject to per-placement mass budgets, requirement gates, an
 optional modality-redundancy constraint, and cross-placement stage-plan
-compatibility.  Two independent routes exist on purpose:
+compatibility.  Two routes reach the best suite:
 
 * ``enumerate_suites`` exhaustively materializes every feasible suite
   (flat cross product, guarded against combinatorial blowup), and
@@ -13,9 +13,13 @@ compatibility.  Two independent routes exist on purpose:
   each placement's best usable subsets, drawn lazily from a heap in
   non-increasing score order.
 
-They must agree; the test suite checks them against each other on
-randomized catalogs.  The final reduction is deterministic: ties break
-by lower total price, then lower total mass, then lexicographic ids.
+The test suite checks them against each other on randomized catalogs,
+but they are not independent: both build slots with ``_build_slot``,
+admit subsets with ``_subset_ok`` and price suites with ``_solution``.
+An oracle that shares no code with this module (ROADMAP item 4) waits
+until ``bench/test_bench.py`` stops importing ``enumerate_suites``.
+The final reduction is deterministic: ties break by ``_tie_key``, lower
+total price, then lower total mass, then lexicographic ids.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "PlacementRule",
     "SuiteSolution",
     "enumerate_suites",
+    "paper_rules",
     "select_best",
     "sensitivity_report",
     "SensitivityRow",
@@ -78,10 +83,37 @@ class PlacementRule:
         if self.max_sensors < 1:
             raise ValueError("max_sensors must be >= 1")
 
-    def candidate_modalities(self) -> tuple[Modality, ...] | None:
-        if self.modalities is not None:
-            return self.modalities
-        return self.profile.modalities
+
+def paper_rules(
+    mission: MissionConfig, far_profile: ScoringProfile, near_profile: ScoringProfile, *,
+    body_max: int = 1, distal_max: int = 1, redundancy: bool = False,
+    body_budget: float | None = None, distal_budget: float | None = None,
+) -> list[PlacementRule]:
+    """The paper's placement policy: the body admits only lidar and radar
+    and the boom tip only 2D and 3D cameras, whatever modalities the
+    profiles list, each within the mission's ``budget_report`` budget
+    unless one is given.  ``redundancy`` asks the body for two
+    dust-robust modalities, so for at least two sensors."""
+    from .budget import budget_report
+
+    envelope = budget_report(mission)
+    return [
+        PlacementRule(
+            placement=Placement.BODY,
+            mass_budget=envelope.body_sensor_budget if body_budget is None else body_budget,
+            profile=far_profile,
+            max_sensors=max(body_max, 2) if redundancy else body_max,
+            modalities=(Modality.LIDAR, Modality.RADAR),
+            min_dust_robust_modalities=2 if redundancy else 0,
+        ),
+        PlacementRule(
+            placement=Placement.DISTAL,
+            mass_budget=envelope.distal_sensor_budget if distal_budget is None else distal_budget,
+            profile=near_profile,
+            max_sensors=distal_max,
+            modalities=(Modality.CAMERA2D, Modality.CAMERA3D),
+        ),
+    ]
 
 
 @dataclass(frozen=True)
@@ -116,10 +148,8 @@ class _Slot:
 
 
 def _build_slot(catalog: Catalog, rule: PlacementRule) -> _Slot:
-    modalities = rule.candidate_modalities()
-    admitted = tuple(
-        s for s in catalog if modalities is None or s.modality in set(modalities)
-    )
+    modalities = rule.modalities if rule.modalities is not None else rule.profile.modalities
+    admitted = tuple(s for s in catalog if modalities is None or s.modality in modalities)
     if not admitted:
         # no candidates of the admitted modalities: the slot is unfillable
         return _Slot(rule=rule, matrix=None, eligible=())
@@ -129,48 +159,16 @@ def _build_slot(catalog: Catalog, rule: PlacementRule) -> _Slot:
     return _Slot(rule=rule, matrix=matrix, eligible=eligible)
 
 
+def _dust_modalities(slot: _Slot, sensors: tuple[SensorRecord, ...]) -> set[Modality]:
+    """The distinct modalities among ``sensors`` that score above zero on dust."""
+    return {s.modality for s in sensors if slot.matrix.score(s.id, CriterionName.DUST) > 0}
+
+
 def _subset_ok(slot: _Slot, subset: tuple[SensorRecord, ...]) -> bool:
     if sum(s.mass_kg for s in subset) > slot.rule.mass_budget:
         return False
-    if slot.rule.min_dust_robust_modalities > 0:
-        dust_ok = {
-            s.modality
-            for s in subset
-            if slot.matrix.score(s.id, CriterionName.DUST) > 0
-        }
-        if len(dust_ok) < slot.rule.min_dust_robust_modalities:
-            return False
-    return True
-
-
-def _suite_stage_plan(
-    body: tuple[SensorRecord, ...],
-    distal: tuple[SensorRecord, ...],
-    mission: MissionConfig,
-) -> StagePlan | None:
-    """Stage plan anchored on the longest-range sensor of each placement;
-    None when either placement lacks a ranged sensor."""
-    far_anchor, near_anchor = stage_anchor(body), stage_anchor(distal)
-    if far_anchor is None or near_anchor is None:
-        return None
-    return stage_plan(far_anchor, near_anchor, mission.boom_length)
-
-
-def _assemble(
-    body: tuple[SensorRecord, ...],
-    distal: tuple[SensorRecord, ...],
-    body_slot: _Slot | None,
-    distal_slot: _Slot | None,
-    mission: MissionConfig,
-) -> SuiteSolution | None:
-    """Build a feasible SuiteSolution, or None when the cross-placement
-    stage-plan constraint rejects the combination."""
-    plan = None
-    if body and distal:
-        plan = _suite_stage_plan(body, distal, mission)
-        if plan is None or not (plan.valid or plan.marginal):
-            return None
-    return _solution(body, distal, body_slot, distal_slot, plan)
+    need = slot.rule.min_dust_robust_modalities
+    return need == 0 or len(_dust_modalities(slot, subset)) >= need
 
 
 def _solution(
@@ -256,11 +254,17 @@ def enumerate_suites(
     body_subsets = _slot_subsets(body_slot) if body_slot is not None else [()]
     distal_subsets = _slot_subsets(distal_slot) if distal_slot is not None else [()]
     suites = []
-    for body in body_subsets:
-        for distal in distal_subsets:
-            suite = _assemble(body, distal, body_slot, distal_slot, mission)
-            if suite is not None:
-                suites.append(suite)
+    for body, distal in itertools.product(body_subsets, distal_subsets):
+        plan = None
+        if body and distal:
+            # anchored on each placement's longest-range sensor, as select_best anchors it
+            far, near = stage_anchor(body), stage_anchor(distal)
+            if far is None or near is None:
+                continue
+            plan = stage_plan(far, near, mission.boom_length)
+            if not (plan.valid or plan.marginal):
+                continue
+        suites.append(_solution(body, distal, body_slot, distal_slot, plan))
     return suites
 
 
@@ -285,16 +289,17 @@ def _diagnose(body_slot: _Slot | None, distal_slot: _Slot | None) -> list[str]:
                 f"{label}: lightest eligible sensor ({lightest:.3f} kg) exceeds "
                 f"the {slot.rule.mass_budget:.3f} kg budget"
             )
-        if slot.rule.min_dust_robust_modalities > 0:
-            dust_ok = {
-                s.modality for s in slot.eligible
-                if slot.matrix.score(s.id, CriterionName.DUST) > 0
-            }
-            if len(dust_ok) < slot.rule.min_dust_robust_modalities:
-                reasons.append(
-                    f"{label}: only {len(dust_ok)} dust-robust modalities available, "
-                    f"{slot.rule.min_dust_robust_modalities} required"
-                )
+        need = slot.rule.min_dust_robust_modalities
+        available = len(_dust_modalities(slot, slot.eligible))
+        if available < need:
+            reasons.append(
+                f"{label}: only {available} dust-robust modalities available, {need} required"
+            )
+        elif lightest <= slot.rule.mass_budget and next(_ranked_subsets(slot), None) is None:
+            reasons.append(
+                f"{label}: no set of up to {slot.rule.max_sensors} sensors within the "
+                f"{slot.rule.mass_budget:.3f} kg budget has {need} dust-robust modalities"
+            )
     if not reasons:
         reasons.append("no body/distal combination yields a workable stage plan")
     return reasons
@@ -342,21 +347,11 @@ def _ranked_subsets(slot: _Slot | None) -> Iterator[tuple[int, tuple[SensorRecor
             heapq.heappush(heap, (neg + gain[p] - gain[p + 1], pos[: t - 1] + (p + 1,) + pos[t:]))
 
 
-def _rank_key(slot: _Slot | None, subset: tuple[SensorRecord, ...]) -> tuple:
-    score = sum(slot.score(s.id) for s in subset) if slot is not None else 0
-    return (
-        -score,
-        sum(s.price for s in subset),
-        sum(s.mass_kg for s in subset),
-        tuple(sorted(s.id for s in subset)),
-    )
-
-
 def _top_usable(
     slot: _Slot | None, check: Callable[[SensorRecord, float], bool] | None, boom_length: float
 ) -> list[tuple[SensorRecord, ...]]:
     """Every admissible subset at the top score among the usable ones, in
-    ``_rank_key`` order (empty when none is usable), drawn only as far as
+    ``_tie_key`` order (empty when none is usable), drawn only as far as
     that score.  A subset is usable when its anchor passes ``check``, or
     always when ``check`` is None."""
     top_score, top = None, []
@@ -367,7 +362,8 @@ def _top_usable(
         if check is None or (anchor is not None and check(anchor, boom_length)):
             top_score = score
             top.append(subset)
-    return sorted(top, key=lambda subset: _rank_key(slot, subset))
+    # one score for the whole group, so the subset alone, unscored, ranks it
+    return sorted(top, key=lambda subset: _tie_key(_solution(subset, (), None, None, None)))
 
 
 def select_best(
@@ -375,16 +371,18 @@ def select_best(
 ) -> SuiteSolution:
     """Best feasible suite by aggregate score, with documented tie-break.
 
-    Independent of enumerate_suites.  A pair's stage plan is usable (valid
-    or marginal) exactly when the body anchor passes ``far_anchor_usable``
-    and the tip anchor passes ``near_anchor_usable``, and the score is the
-    sum of the two placements' scores.  So each placement's subsets are
-    drawn in non-increasing score order until the score falls below its
-    first usable subset, every usable subset at that score is kept, and
-    the finalists are the pairs of the two groups, each distinct anchor
-    pair planned once.  With one placement every admissible subset is
-    usable.  Raises NoFeasibleSuiteError (listing binding constraints)
-    when nothing qualifies.
+    Draws subsets lazily where enumerate_suites lists them all, but
+    shares its slots, subset check and scoring.  A pair's stage plan is
+    usable (valid or marginal) exactly when the body anchor passes
+    ``far_anchor_usable`` and the tip anchor passes
+    ``near_anchor_usable``, and the score is the sum of the two
+    placements' scores.  So each placement's subsets are drawn in
+    non-increasing score order until the score falls below its first
+    usable subset, every usable subset at that score is kept, and the
+    finalists are the pairs of the two groups, each distinct anchor pair
+    planned once.  With one placement every admissible subset is usable.
+    Raises NoFeasibleSuiteError (listing binding constraints) when
+    nothing qualifies.
     """
     body_slot, distal_slot = _slots_by_placement(catalog, rules)
     length = mission.boom_length
@@ -412,14 +410,10 @@ def select_best(
     notes: list[str] = []
     if len(finalists) > 1:
         rivals = ", ".join("+".join(f.ids()) for f in finalists)
-        level = "price"
-        if finalists[0].total_price == finalists[1].total_price:
-            level = (
-                "mass"
-                if finalists[0].body_mass + finalists[0].distal_mass
-                != finalists[1].body_mass + finalists[1].distal_mass
-                else "id"
-            )
+        # the first level at which the two best differ; "id" when they
+        # are the same sensors split another way between the placements
+        levels = zip(("price", "mass", "id"), _tie_key(finalists[0]), _tie_key(finalists[1]))
+        level = next((name for name, a, b in levels if a != b), "id")
         notes.append(
             f"tie at score {winner.aggregate_score} among [{rivals}]; broken by {level}"
         )

@@ -149,6 +149,16 @@ def test_select_infeasible_exits_one(capsys):
     assert "no feasible suite" in out
 
 
+def test_select_names_the_body_budget_and_dust_rule_that_no_pair_meets(capsys):
+    """A radar fits 0.3 kg and lidar and radar are both dust-robust, but no
+    lidar that passes the gates fits: os1_32, the lightest, weighs 0.495 kg."""
+    code, out, _ = run(capsys, "select", "--preset", "paper", "--redundancy", "--body-budget", "0.3")
+    assert (code, out) == (1, (
+        "no feasible suite:\n"
+        "  - body: no set of up to 2 sensors within the 0.300 kg budget has 2 dust-robust modalities\n"
+    ))
+
+
 def test_select_sweep_infeasible_exits_one_with_the_reasons_select_gives(capsys):
     _, plain, _ = run(capsys, "select", "--preset", "paper", "--distal-budget", "0.05")
     swept = run(capsys, "select", "--preset", "paper", "--distal-budget", "0.05", "--sweep", "dust", "0", "2")
@@ -270,6 +280,18 @@ def _mutated(tmp_path, fixture, mutate):
     path = tmp_path / fixture
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("command", ["coverage", "report"])
+def test_a_mounts_file_without_body_mounts_is_named_in_coverage_and_report(capsys, tmp_path, command):
+    mounts = _mutated(tmp_path, "paper_mounts.yaml", lambda d: d.__setitem__("body_mounts", []))
+    assert run(capsys, command, "--preset", "paper", "--mounts", mounts) == (
+        2, "", "error: mounts.body_mounts: coverage needs at least one body mount\n"
+    )
+    # the budget needs no body mount: the axial body sensors still weigh in
+    code, out, _ = run(capsys, "budget", "--preset", "paper", "--mounts", mounts, "--format", "csv")
+    assert code == 0
+    assert "body_sensor_mass_kg," in out
 
 
 def _set_first_sensor(key, value):

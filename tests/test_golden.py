@@ -62,9 +62,10 @@ def test_readme_quick_start_prints_what_it_says():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
-    _, tip_budget, fov = out.getvalue().splitlines()
+    _, tip_budget, fov, suite = out.getvalue().splitlines()
     assert round(float(tip_budget), 4) == 0.7295
     assert float(fov) == 120.0
+    assert suite == "('vlp16',) ('d435i',)"
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)

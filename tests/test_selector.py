@@ -26,37 +26,12 @@ from boomsuite.selector import (
     _slot_subsets,
     _tie_key,
     enumerate_suites,
+    paper_rules,
     select_best,
     sensitivity_report,
 )
 
 from oracles import random_catalog, random_mission, random_profile
-
-BODY_MODALITIES = (Modality.LIDAR, Modality.RADAR)
-DISTAL_MODALITIES = (Modality.CAMERA2D, Modality.CAMERA3D)
-
-
-def paper_rules(mission, far_profile, near_profile, *, redundancy=False,
-                body_max=1, distal_max=1, body_budget=None, distal_budget=None):
-    envelope = budget_report(mission)
-    return [
-        PlacementRule(
-            placement=Placement.BODY,
-            mass_budget=body_budget if body_budget is not None else envelope.body_sensor_budget,
-            profile=far_profile,
-            max_sensors=max(body_max, 2) if redundancy else body_max,
-            modalities=BODY_MODALITIES,
-            min_dust_robust_modalities=2 if redundancy else 0,
-        ),
-        PlacementRule(
-            placement=Placement.DISTAL,
-            mass_budget=distal_budget if distal_budget is not None else envelope.distal_sensor_budget,
-            profile=near_profile,
-            max_sensors=distal_max,
-            modalities=DISTAL_MODALITIES,
-        ),
-    ]
-
 
 # ---------------------------------------------------------------------------
 # reference selections
@@ -78,6 +53,31 @@ def test_redundancy_flag_adds_a_radar(catalog, mission, far_profile, near_profil
     radars = [sid for sid in suite.body_sensors if catalog.get(sid).modality is Modality.RADAR]
     assert len(radars) == 1
     assert suite.distal_sensors == ("d435i",)
+
+
+def test_paper_rules_admit_ranging_sensors_on_the_body_and_cameras_at_the_tip(
+        mission, far_profile, near_profile):
+    body, distal = paper_rules(mission, far_profile, near_profile)
+    envelope = budget_report(mission)
+    assert (body.placement, body.modalities, body.max_sensors) == (
+        Placement.BODY, (Modality.LIDAR, Modality.RADAR), 1
+    )
+    assert (distal.placement, distal.modalities, distal.max_sensors) == (
+        Placement.DISTAL, (Modality.CAMERA2D, Modality.CAMERA3D), 1
+    )
+    assert (body.mass_budget, distal.mass_budget) == (
+        envelope.body_sensor_budget, envelope.distal_sensor_budget
+    )
+    assert body.min_dust_robust_modalities == distal.min_dust_robust_modalities == 0
+
+
+@pytest.mark.parametrize("body_max, expected", [(1, 2), (2, 2), (3, 3)])
+def test_paper_rules_redundancy_keeps_a_larger_body_max(mission, far_profile, near_profile,
+                                                        body_max, expected):
+    body, distal = paper_rules(mission, far_profile, near_profile, body_max=body_max, redundancy=True)
+    assert body.max_sensors == expected
+    assert body.min_dust_robust_modalities == 2
+    assert (distal.max_sensors, distal.min_dust_robust_modalities) == (1, 0)
 
 
 def test_enumeration_includes_full_instrumented_body(catalog, mission, far_profile, near_profile):
@@ -198,6 +198,27 @@ def test_all_weights_zero_breaks_tie_by_price(catalog, mission, far_profile):
     # all eligible sensors tie at 0; the cheapest one wins
     assert suite.body_sensors == ("rsbpearl",)  # $3500 vs $4000 vs $6600
     assert any("tie" in n for n in suite.notes)
+
+
+@pytest.mark.parametrize(
+    "specs, winner, level",
+    [
+        # (id, grams, USD): the two best differ first at the level named,
+        # and the levels after it would pick the other one
+        pytest.param([("a", 300.0, 80.0), ("b", 200.0, 80.0), ("c", 100.0, 90.0)], "b", "mass", id="mass"),
+        pytest.param([("b", 200.0, 80.0), ("a", 200.0, 80.0), ("c", 100.0, 90.0)], "a", "id", id="id"),
+    ],
+)
+def test_a_tie_is_broken_and_named_at_the_first_level_that_differs(mission, specs, winner, level):
+    sensors = [SensorRecord(id=i, name=i, modality=Modality.LIDAR, mass=g, price=usd) for i, g, usd in specs]
+    profile = _scored_profile(Stage.FAR_FIELD, {i: 7 for i, _, _ in specs})
+    rules = [PlacementRule(Placement.BODY, 5.0, profile)]
+    suite = select_best(Catalog(tuple(sensors)), rules, mission)
+    assert suite.body_sensors == (winner,)
+    assert suite.aggregate_score == 7
+    (note,) = suite.notes
+    assert note.endswith(f"; broken by {level}")
+    assert note.startswith(f"tie at score 7 among [{winner}, ")
 
 
 # ---------------------------------------------------------------------------
