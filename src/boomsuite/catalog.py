@@ -352,15 +352,19 @@ def _read(raw: Any, table: _Table, subject: str, path: str = "") -> dict[str, An
         subject, prefix = (name.value if isinstance(name, enum.Enum) else name), ""
     for key in raw:
         if key not in table.readers:
-            import difflib
-
-            close = difflib.get_close_matches(str(key), list(table.readers), n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ValidationError(subject, f"{prefix}{key}", "unknown field" + hint)
+            raise ValidationError(subject, f"{prefix}{key}", "unknown field" + _hint(str(key), table.readers))
     for key in table.readers:
         if key != table.names:
             read(key)
     return values
+
+
+def _hint(word: str, known: Iterable[str]) -> str:
+    """The hint "; did you mean 'x'?", x the entry of ``known`` nearest ``word``, or "" if none is near."""
+    import difflib
+
+    close = difflib.get_close_matches(word, list(known), n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
 
 
 def _mapping(value: Any, subject: str, field_name: str) -> Mapping[str, Any]:

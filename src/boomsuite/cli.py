@@ -59,14 +59,21 @@ def _input(args: argparse.Namespace, name: str) -> str | Path:
     return bundled_path(_PRESET_FILES[name])
 
 
-def _load_profile(value: str) -> ScoringProfile:
-    """The profile a bundled shorthand or a path names."""
-    from .catalog import bundled_path
+def _load_profile(value: str, catalog: Catalog) -> ScoringProfile:
+    """The profile a bundled shorthand or a path names.  A file's override
+    ids must name sensors of ``catalog``; the bundled profiles name the
+    paper's sensors, and any catalog may be scored against them."""
+    from .catalog import _hint, bundled_path
     from .scoring import load_profile
 
     if value in _PROFILE_SHORTHANDS:
         return load_profile(bundled_path(_PROFILE_SHORTHANDS[value]))
-    return load_profile(value)
+    profile = load_profile(value)
+    for sensor_id in profile.overrides:
+        if sensor_id not in catalog:
+            hint = _hint(sensor_id, catalog.ids())
+            raise ValidationError(profile.stage.value, f"overrides.{sensor_id}", "unknown sensor id" + hint)
+    return profile
 
 
 def _bounded(kind: type, low: int, strict: bool = False) -> Callable[[str], float]:
@@ -172,7 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
     profile_arg = args.profile or ("far_field" if args.preset == "paper" else None)
     if profile_arg is None:
         raise TradeStudyError("a --profile file or shorthand is required")
-    return EXIT_OK, _matrix_section(catalog, _load_profile(profile_arg), args.format)
+    return EXIT_OK, _matrix_section(catalog, _load_profile(profile_arg, catalog), args.format)
 
 
 def cmd_budget(args: argparse.Namespace) -> tuple[int, str]:
@@ -246,8 +253,8 @@ def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
     from .selector import paper_rules, sensitivity_report
 
     catalog, mission = _load_inputs(args)
-    far_profile = _load_profile(args.far_profile or "far_field")
-    near_profile = _load_profile(args.near_profile or "near_field")
+    far_profile = _load_profile(args.far_profile or "far_field", catalog)
+    near_profile = _load_profile(args.near_profile or "near_field", catalog)
     rules = paper_rules(
         mission, far_profile, near_profile, body_max=args.body_max, distal_max=args.distal_max,
         redundancy=args.redundancy, body_budget=args.body_budget, distal_budget=args.distal_budget,
@@ -276,10 +283,10 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     catalog, mission = _load_inputs(args)
     # The bundled far- and near-field profiles feed both the matrices and,
     # unless --far-profile/--near-profile name other profiles, the selection.
-    sections = [_matrix_section(catalog, _load_profile("modality"), args.format)]
-    far_profile = _load_profile("far_field")
+    sections = [_matrix_section(catalog, _load_profile("modality", catalog), args.format)]
+    far_profile = _load_profile("far_field", catalog)
     sections.append(_matrix_section(catalog, far_profile, args.format, title="Far-Field Matrix"))
-    near_profile = _load_profile("near_field")
+    near_profile = _load_profile("near_field", catalog)
     sections.append(_matrix_section(catalog, near_profile, args.format, title="Near-Field Matrix"))
 
     spec = load_mounts(_input(args, "mounts"), catalog)
@@ -290,9 +297,9 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     sections.append(coverage_table(coverage, args.format, title="Cross-Section Coverage"))
 
     if (args.far_profile or "far_field") != "far_field":
-        far_profile = _load_profile(args.far_profile)
+        far_profile = _load_profile(args.far_profile, catalog)
     if (args.near_profile or "near_field") != "near_field":
-        near_profile = _load_profile(args.near_profile)
+        near_profile = _load_profile(args.near_profile, catalog)
     rules = paper_rules(
         mission, far_profile, near_profile, body_max=args.body_max, distal_max=args.distal_max,
         redundancy=args.redundancy, body_budget=args.body_budget, distal_budget=args.distal_budget,
@@ -326,7 +333,8 @@ class _Sweep(argparse.Action):
         try:
             lo, hi = int(lo), int(hi)
         except ValueError:
-            raise argparse.ArgumentError(self, f"MIN and MAX must be integers, got {lo!r} and {hi!r}") from None
+            message = f"MIN and MAX must be integers, got {lo!r} and {hi!r}"
+            raise argparse.ArgumentError(self, message) from None
         if lo < 0:
             raise argparse.ArgumentError(self, f"MIN must be >= 0, got {lo}")
         if lo > hi:
@@ -360,7 +368,8 @@ _FLAGS: list[tuple[str, tuple[str, ...], dict]] = [
     ("--distal-budget", _SELECTING, dict(type=_MASS, help="override boom-tip mass budget, kg")),
     ("--body-max", _SELECTING, dict(type=_COUNT, default=1, help="max sensors on the body")),
     ("--distal-max", _SELECTING, dict(type=_COUNT, default=1, help="max sensors at the boom tip")),
-    ("--redundancy", _SELECTING, dict(action="store_true", help="require two dust-robust modalities on the body")),
+    ("--redundancy", _SELECTING,
+     dict(action="store_true", help="require two dust-robust modalities on the body")),
     ("--sweep", ("select",), dict(
         action=_Sweep, nargs=3, metavar=("CRITERION", "MIN", "MAX"),
         help="sweep one criterion's weight over an integer range",

@@ -252,7 +252,7 @@ def _mount_arcs(mount: Mount) -> list[tuple[float, float]]:
     """Direction arcs (low, high) that one mount covers."""
     fov = mount.sensor.fov
     if fov is None:
-        raise ValueError(f"{mount.sensor.id}: coverage needs a field of view")
+        raise ValidationError(mount.sensor.id, "fov", "coverage needs a field of view")
     vfov = fov.vertical_deg if fov.vertical_deg is not None else fov.horizontal_deg
     if mount.spinning:
         half = abs(mount.tilt_deg) + vfov / 2.0
@@ -307,7 +307,7 @@ def section_coverage(
     arcs = []
     for mount in mounts:
         if mount.sensor.range_max is None:
-            raise ValueError(f"{mount.sensor.id}: coverage needs range_max")
+            raise ValidationError(mount.sensor.id, "range_max", "coverage needs a maximum range")
         arcs.append(_mount_arcs(mount))
     results: dict[str, SurfaceCoverage] = {}
     for surface, normal, distance, before, after in _surfaces(tube):

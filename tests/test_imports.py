@@ -71,7 +71,9 @@ def test_every_public_name_resolves_to_its_submodule_attribute():
         "listed = set(dir(boomsuite))\n"
         "for name, module in boomsuite._EXPORTS.items():\n"
         "    value = getattr(boomsuite, name)\n"
-        "    assert value is getattr(importlib.import_module('boomsuite.' + module), name), name\n"
+        "    submodule = importlib.import_module('boomsuite.' + module)\n"
+        "    assert value is getattr(submodule, name), name\n"
+        "    assert name in getattr(submodule, '__all__', (name,)), (name, module)\n"
         "    assert name in listed, name\n"
         "assert sorted(boomsuite.__all__) == sorted(boomsuite._EXPORTS)\n"
         "from boomsuite import load_catalog, select_best\n"

@@ -124,6 +124,64 @@ def test_no_feasible_suite_lists_binding_constraints(catalog, mission, far_profi
     assert any("distal" in r for r in exc.value.reasons)
 
 
+@pytest.mark.parametrize("placements, given", [
+    pytest.param((), "none", id="none"),
+    pytest.param((Placement.BODY,), "body", id="one"),
+    pytest.param((Placement.BODY, Placement.BODY), "body, body", id="two-body"),
+    pytest.param((Placement.BODY, Placement.DISTAL, Placement.DISTAL), "body, distal, distal", id="three"),
+])
+def test_a_selection_takes_one_body_rule_and_one_tip_rule(catalog, mission, far_profile, placements, given):
+    rules = [PlacementRule(placement, 2.0, far_profile) for placement in placements]
+    message = f"a selection takes one body rule and one distal rule; got {given}$"
+    with pytest.raises(ValueError, match=message):
+        select_best(catalog, rules, mission)
+    with pytest.raises(ValueError, match=message):
+        enumerate_suites(catalog, rules, mission)
+    # checked before any weight is solved for
+    with pytest.raises(ValueError, match=message):
+        sensitivity_report(catalog, rules, mission, CriterionName.AFFORDABILITY, [])
+
+
+def test_rules_may_come_in_either_order(catalog, mission, far_profile, near_profile):
+    rules = paper_rules(mission, far_profile, near_profile)
+    assert select_best(catalog, rules[::-1], mission) == select_best(catalog, rules, mission)
+
+
+def test_only_the_winner_is_planned(monkeypatch, catalog, mission, far_profile, near_profile):
+    pairs = _counting_stage_plan(monkeypatch)
+    suite = select_best(catalog, paper_rules(mission, far_profile, near_profile), mission)
+    # two finalists tie; the one that wins is the one planned
+    (note,) = suite.notes
+    assert note.startswith("tie at score 50 among [d435i+vlp16, d435i+os1_32]")
+    assert pairs == [("vlp16", "d435i")]
+    assert (suite.stage_plan.far_sensor_id, suite.stage_plan.near_sensor_id) == pairs[0]
+
+
+def test_a_sensor_both_rules_admit_fills_both_placements_as_two_units(mission):
+    # no rule restricts the modality, so the best sensor is best for both
+    def lidar(sid, grams, usd):
+        return SensorRecord(id=sid, name=sid, modality=Modality.LIDAR, mass=grams, price=usd,
+                            range_min=0.0, range_max=100.0)
+
+    catalog = Catalog((lidar("best", 100.0, 50.0), lidar("other", 80.0, 40.0)))
+    scores = {"best": 7, "other": 3}
+    rules = [
+        PlacementRule(Placement.BODY, 0.15, _scored_profile(Stage.FAR_FIELD, scores)),
+        PlacementRule(Placement.DISTAL, 0.15, _scored_profile(Stage.NEAR_FIELD, scores)),
+    ]
+    suite = select_best(catalog, rules, mission)
+    assert (suite.body_sensors, suite.distal_sensors) == (("best",), ("best",))
+    # two units: the mass counts in each placement and the price twice
+    assert (suite.body_mass, suite.distal_mass, suite.total_price) == (0.1, 0.1, 100.0)
+    assert suite.aggregate_score == 14
+    assert (suite.stage_plan.far_sensor_id, suite.stage_plan.near_sensor_id) == ("best", "best")
+    suites = enumerate_suites(catalog, rules, mission)
+    assert max(suites, key=lambda s: s.aggregate_score) == suite
+    assert [(s.body_sensors, s.distal_sensors) for s in suites if s.aggregate_score == 14] == [
+        (("best",), ("best",))
+    ]
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -0.1])
 def test_placement_rule_rejects_non_finite_or_negative_budgets(far_profile, budget):
     # sum(mass) > nan is False, so a NaN budget would switch the mass check off
@@ -147,19 +205,16 @@ def test_guard_rejects_combinatorial_blowup(catalog, mission, far_profile, near_
 # sensitivity sweeps
 
 
-def test_affordability_sweep_crossover(catalog, mission, far_profile):
+def test_affordability_sweep_crossover(catalog, mission, far_profile, near_profile):
+    # one camera for the tip, so the sweep moves every tip score alike
+    # and only the body can cross over
+    pool = Catalog(tuple(s for s in catalog if s.modality is Modality.LIDAR or s.id == "d435i"))
     rules = [
-        PlacementRule(
-            placement=Placement.BODY,
-            mass_budget=2.0,
-            profile=far_profile,
-            max_sensors=1,
-            modalities=(Modality.LIDAR,),
-        )
+        PlacementRule(Placement.BODY, 2.0, far_profile, modalities=(Modality.LIDAR,)),
+        PlacementRule(Placement.DISTAL, 2.0, near_profile, modalities=(Modality.CAMERA3D,)),
     ]
-    rows = sensitivity_report(
-        catalog, rules, mission, CriterionName.AFFORDABILITY, [0, 1, 2, 3, 4]
-    )
+    rows = sensitivity_report(pool, rules, mission, CriterionName.AFFORDABILITY, [0, 1, 2, 3, 4])
+    assert {row.distal_sensors for row in rows} == {("d435i",)}
     # with the affordability weight removed, the pricier unit wins alone
     assert rows[0].body_sensors == ("os1_32",)
     assert not any("tie" in n for n in rows[0].notes)
@@ -180,24 +235,20 @@ def test_sweep_of_current_weight_matches_select_best(catalog, mission, far_profi
     assert rows[0].aggregate_score == suite.aggregate_score
 
 
-def test_all_weights_zero_breaks_tie_by_price(catalog, mission, far_profile):
-    zeroed = far_profile
+def test_all_weights_zero_breaks_tie_by_price(catalog, mission, far_profile, near_profile):
+    far, near = far_profile, near_profile
     for name in CriterionName:
-        zeroed = zeroed.with_weight(name, 0)
+        far, near = far.with_weight(name, 0), near.with_weight(name, 0)
     rules = [
-        PlacementRule(
-            placement=Placement.BODY,
-            mass_budget=2.0,
-            profile=zeroed,
-            max_sensors=1,
-            modalities=(Modality.LIDAR,),
-        )
+        PlacementRule(Placement.BODY, 2.0, far, modalities=(Modality.LIDAR,)),
+        PlacementRule(Placement.DISTAL, 2.0, near, modalities=(Modality.CAMERA3D,)),
     ]
     suite = select_best(catalog, rules, mission)
     assert suite.aggregate_score == 0
-    # all eligible sensors tie at 0; the cheapest one wins
+    # all eligible sensors tie at 0; the cheapest of each placement wins
     assert suite.body_sensors == ("rsbpearl",)  # $3500 vs $4000 vs $6600
-    assert any("tie" in n for n in suite.notes)
+    assert suite.distal_sensors == ("oak_d",)  # $249, the cheapest camera
+    assert any("tie" in n and "price" in n for n in suite.notes)
 
 
 @pytest.mark.parametrize(
@@ -210,15 +261,22 @@ def test_all_weights_zero_breaks_tie_by_price(catalog, mission, far_profile):
     ],
 )
 def test_a_tie_is_broken_and_named_at_the_first_level_that_differs(mission, specs, winner, level):
-    sensors = [SensorRecord(id=i, name=i, modality=Modality.LIDAR, mass=g, price=usd) for i, g, usd in specs]
-    profile = _scored_profile(Stage.FAR_FIELD, {i: 7 for i, _, _ in specs})
-    rules = [PlacementRule(Placement.BODY, 5.0, profile)]
-    suite = select_best(Catalog(tuple(sensors)), rules, mission)
-    assert suite.body_sensors == (winner,)
+    sensors = [SensorRecord(id=i, name=i, modality=Modality.LIDAR, mass=g, price=usd,
+                            range_min=0.0, range_max=100.0) for i, g, usd in specs]
+    tip = SensorRecord(id="tip", name="tip", modality=Modality.CAMERA3D, mass=50.0, price=10.0,
+                       range_min=0.3, range_max=6.0)
+    rules = [
+        PlacementRule(Placement.BODY, 5.0, _scored_profile(Stage.FAR_FIELD, {i: 7 for i, _, _ in specs}),
+                      modalities=(Modality.LIDAR,)),
+        PlacementRule(Placement.DISTAL, 5.0, _scored_profile(Stage.NEAR_FIELD, {"tip": 0}),
+                      modalities=(Modality.CAMERA3D,)),
+    ]
+    suite = select_best(Catalog((*sensors, tip)), rules, mission)
+    assert (suite.body_sensors, suite.distal_sensors) == ((winner,), ("tip",))
     assert suite.aggregate_score == 7
     (note,) = suite.notes
     assert note.endswith(f"; broken by {level}")
-    assert note.startswith(f"tie at score 7 among [{winner}, ")
+    assert note.startswith(f"tie at score 7 among [{winner}+tip, ")
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +311,7 @@ def _feasibility_invariants(suite, rules, catalog):
         pool = catalog.subset(ids=chosen)
         matrix = score_matrix(pool, rule.profile)
         assert not any(matrix.failing[sid] for sid in chosen)
-    if suite.stage_plan is not None:
-        assert suite.stage_plan.valid or suite.stage_plan.marginal
+    assert suite.stage_plan.valid or suite.stage_plan.marginal
 
 
 def test_select_best_equals_enumeration_on_random_instances():
@@ -389,13 +446,9 @@ def _counting_stage_plan(monkeypatch):
     return pairs
 
 
-def _ranged_eligible(catalog, rule):
-    pool = catalog if rule.modalities is None else catalog.subset(modalities=rule.modalities)
-    matrix = score_matrix(pool, rule.profile)
-    return [
-        s for s in pool
-        if not matrix.failing[s.id] and s.range_min is not None and s.range_max is not None
-    ]
+def _suite_tie_key(catalog, suite):
+    """``_tie_key`` of a built suite, from its sensors' records."""
+    return _tie_key(*(tuple(map(catalog.get, ids)) for ids in (suite.body_sensors, suite.distal_sensors)))
 
 
 def _scored_profile(stage, scores):
@@ -449,16 +502,15 @@ def test_dead_body_anchors_are_skipped_without_a_tip_walk(monkeypatch):
     ]
     suites = enumerate_suites(catalog, rules, mission)
     top = max(s.aggregate_score for s in suites)
-    expected = min((s for s in suites if s.aggregate_score == top), key=_tie_key)
+    expected = min((s for s in suites if s.aggregate_score == top), key=lambda s: _suite_tie_key(catalog, s))
 
     pairs = _counting_stage_plan(monkeypatch)
     best = select_best(catalog, rules, mission)
     assert dataclasses.replace(best, notes=()) == expected
     assert best.body_sensors == ("short0", "long0")
-    # only the finalists are planned, each anchor pair once: the dead
-    # lidar anchors are turned away by their own range test, unplanned
-    assert len(pairs) == len(set(pairs))
-    assert {far for far, _ in pairs} == {"long0"}
+    # only the winner is planned: the dead lidar anchors are turned away
+    # by their own range test, unplanned
+    assert pairs == [("long0", "cam1")]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -477,6 +529,4 @@ def test_five_sensors_per_slot_on_120_sensors_plans_each_anchor_pair_once(monkey
     best = select_best(cat, rules, mission)
     assert len(best.body_sensors) == len(best.distal_sensors) == 5
     _feasibility_invariants(best, rules, cat)
-    far_anchors = {far_id for far_id, _ in pairs}
-    assert len(pairs) == len(set(pairs))
-    assert len(pairs) <= len(far_anchors) * len(_ranged_eligible(cat, rules[1]))
+    assert pairs == [(best.stage_plan.far_sensor_id, best.stage_plan.near_sensor_id)]
