@@ -10,6 +10,7 @@ never as zero, so downstream scoring can distinguish "unknown" from
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -273,23 +274,11 @@ class Catalog:
             seen.setdefault(s.modality, None)
         return tuple(seen)
 
-    def subset(
-        self,
-        *,
-        modalities: Iterable[Modality] | None = None,
-        ids: Iterable[str] | None = None,
-    ) -> "Catalog":
-        """New catalog restricted to the given modalities and/or ids,
-        preserving order.  Raises ValidationError if nothing remains."""
-        keep_mod = set(modalities) if modalities is not None else None
-        keep_ids = set(ids) if ids is not None else None
-        picked = tuple(
-            s
-            for s in self.sensors
-            if (keep_mod is None or s.modality in keep_mod)
-            and (keep_ids is None or s.id in keep_ids)
-        )
-        return Catalog(picked)
+    def subset(self, *, modalities: Iterable[Modality]) -> "Catalog":
+        """New catalog of the sensors of the given modalities, preserving
+        order.  Raises ValidationError if nothing remains."""
+        keep = set(modalities)
+        return Catalog(tuple(s for s in self.sensors if s.modality in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +307,33 @@ def _read_yaml(path: str | Path) -> Any:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return yaml.load(fh, Loader=loader)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            return yaml.load(fh, Loader=_strict(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a value the constructor cannot build
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+@functools.cache
+def _strict(loader: type) -> type:
+    """``loader`` made to reject a key repeated in one mapping, where PyYAML keeps the last value."""
+    import yaml
+
+    class Strict(loader):
+        def construct_mapping(self, node, deep=False):
+            first: dict[Any, int] = {}
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in first:
+                        problem = f"duplicate key {key!r} (first at line {first[key] + 1})"
+                        raise yaml.constructor.ConstructorError(None, None, problem, key_node.start_mark)
+                    first[key] = key_node.start_mark.line
+            return super().construct_mapping(node, deep)
+
+    return Strict
 
 
 def _read(raw: Any, table: _Table, subject: str, path: str = "") -> dict[str, Any]:

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Any
 
 from .catalog import (
-    Catalog, SensorRecord, _Table, _boolean, _list, _number, _read, _read_yaml, _record, _text,
+    Catalog, SensorRecord, _Table, _boolean, _hint, _list, _number, _read, _read_yaml, _record, _text,
 )
 from .errors import ValidationError
 from .geometry import Mount, TubeSection
@@ -39,10 +39,10 @@ def load_mounts(path: str | Path, catalog: Catalog) -> MountSpec:
     """Load a mount specification, resolving sensor ids against a catalog."""
 
     def sensor(value: Any, subject: str, field_name: str) -> SensorRecord:
-        # an id's errors name mounts.sensor wherever it sits
-        sid = _text(value, "mounts", "sensor")
+        sid = _text(value, subject, field_name)
         if sid not in catalog:
-            raise ValidationError("mounts", "sensor", f"unknown sensor id {sid!r}")
+            hint = _hint(sid, catalog.ids())
+            raise ValidationError(subject, field_name, f"unknown sensor id {sid!r}{hint}")
         return catalog.get(sid)
 
     mount = _Table({"sensor": sensor, "tilt_deg": _number, "spinning": _boolean}, ("sensor",))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .catalog import (
     Catalog, Modality, Ordinal, PixelGrid, SensorRecord,
@@ -187,12 +187,6 @@ class ScoringProfile:
                 if type(value) is not int or value not in (0, 1, 2):  # True and 1.0 too
                     raise ValidationError(sensor_id, crit.value, "override must be 0, 1 or 2")
 
-    def criterion(self, name: CriterionName) -> Criterion:
-        for c in self.criteria:
-            if c.name is name:
-                return c
-        raise KeyError(name)
-
     def override_for(self, sensor_id: str, name: CriterionName) -> int | None:
         cells = self.overrides.get(sensor_id)
         if cells is None:
@@ -205,12 +199,6 @@ class ScoringProfile:
             replace(c, weight=weight) if c.name is name else c for c in self.criteria
         )
         return replace(self, criteria=criteria)
-
-    def scaled(self, k: int) -> "ScoringProfile":
-        """Copy with every weight multiplied by a positive integer k."""
-        if k <= 0:
-            raise ValueError("scale factor must be a positive integer")
-        return replace(self, criteria=tuple(replace(c, weight=c.weight * k) for c in self.criteria))
 
 
 @dataclass(frozen=True)
@@ -295,30 +283,23 @@ def score_matrix(
     )
 
 
-def modality_table(
-    catalog: Catalog,
-    profile: ScoringProfile,
-    modalities: Iterable[Modality] | None = None,
-) -> dict[Modality, dict[CriterionName, Ordinal]]:
-    """Per-modality ordinal summary: one exemplar device per modality.
+def modality_table(catalog: Catalog, profile: ScoringProfile) -> dict[Modality, dict[CriterionName, Ordinal]]:
+    """Per-modality ordinal summary: one exemplar device for each modality
+    in the catalog.
 
     Exemplars come from the profile's exemplar map, falling back to the
-    first catalog sensor of that modality.  Requesting a modality with no
-    exemplar in the catalog is an error.
+    first catalog sensor of that modality.  An exemplar id missing from
+    the catalog is an error.
     """
-    wanted = tuple(modalities) if modalities is not None else catalog.modalities()
     table: dict[Modality, dict[CriterionName, Ordinal]] = {}
-    for modality in wanted:
+    for modality in catalog.modalities():
         exemplar_id = profile.exemplars.get(modality)
         if exemplar_id is not None:
             if exemplar_id not in catalog:
                 raise ValidationError(modality.value, "exemplar", f"sensor {exemplar_id!r} not in catalog")
             exemplar = catalog.get(exemplar_id)
         else:
-            candidates = [s for s in catalog if s.modality is modality]
-            if not candidates:
-                raise ValidationError(modality.value, "exemplar", "no sensor of this modality in catalog")
-            exemplar = candidates[0]
+            exemplar = next(s for s in catalog if s.modality is modality)
         row_matrix = score_matrix(Catalog((exemplar,)), profile)
         table[modality] = {
             name: Ordinal(row_matrix.scores[exemplar.id][name]) for name in row_matrix.criteria

@@ -134,9 +134,6 @@ class SuiteSolution:
     warnings: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.body_sensors + self.distal_sensors))
-
 
 @dataclass(frozen=True)
 class _Slot:
@@ -325,8 +322,8 @@ def _top_usable(
     slot: _Slot, check: Callable[[SensorRecord, float], bool], boom_length: float
 ) -> list[tuple[SensorRecord, ...]]:
     """Every admissible subset at the top score among those whose anchor
-    passes ``check``, in ``_tie_key`` order (empty when none passes),
-    drawn only as far as that score."""
+    passes ``check``, in draw order (empty when none passes), drawn only
+    as far as that score."""
     top_score, top = None, []
     for score, subset in _ranked_subsets(slot):
         if top_score is not None and score < top_score:
@@ -335,8 +332,7 @@ def _top_usable(
         if anchor is not None and check(anchor, boom_length):
             top_score = score
             top.append(subset)
-    # one score for the whole group, so the subset alone, with no tip, ranks it
-    return sorted(top, key=lambda subset: _tie_key(subset, ()))
+    return top
 
 
 def select_best(catalog: Catalog, rules: list[PlacementRule], mission: MissionConfig) -> SuiteSolution:
@@ -364,9 +360,8 @@ def select_best(catalog: Catalog, rules: list[PlacementRule], mission: MissionCo
     if not bodies or not distals:
         raise NoFeasibleSuiteError(_diagnose(body_slot, distal_slot))
 
-    # Pairs in (body rank, distal rank) order; the sort is stable, so equal
-    # tie keys (the same sensors split another way between the placements)
-    # keep that order.
+    # Two finalists never share the least key: the cross pairs of two that did would sum to twice
+    # it, so one would be less.  Only in float corner cases can a tie stand; draw order decides it.
     finalists = sorted(
         ((_tie_key(body, distal), body, distal) for body, distal in itertools.product(bodies, distals)),
         key=lambda finalist: finalist[0],

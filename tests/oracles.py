@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from boomsuite.catalog import (
     Accuracy,
@@ -198,3 +199,18 @@ def random_mission(rng: random.Random) -> MissionConfig:
         tube_depth=round(rng.uniform(10.0, 50.0), 1),
         tube_width=round(rng.uniform(10.0, 300.0), 1),
     )
+
+
+# ---------------------------------------------------------------------------
+# builders the tests share
+
+
+def only(catalog: Catalog, ids) -> Catalog:
+    """The sensors of ``catalog`` whose ids are in ``ids``, in catalog order."""
+    keep = set(ids)
+    return Catalog(tuple(s for s in catalog if s.id in keep))
+
+
+def weights_times(profile: ScoringProfile, k: int) -> ScoringProfile:
+    """``profile`` with every criterion's weight multiplied by ``k``."""
+    return replace(profile, criteria=tuple(replace(c, weight=c.weight * k) for c in profile.criteria))

@@ -179,7 +179,9 @@ def test_fixed_point_at_mission_values(mission):
 
 
 @settings(max_examples=100, deadline=None)
-@given(positive, positive, positive, st.floats(min_value=1, max_value=20), st.floats(min_value=1.01, max_value=3))
+@given(
+    positive, positive, positive, st.floats(min_value=1, max_value=20), st.floats(min_value=1.01, max_value=3)
+)
 def test_shoulder_moment_linear_in_each_argument(m, gripper, boom, g, k):
     base = shoulder_moment(m, gripper, boom, g, 10)
     assert shoulder_moment(k * m, gripper, boom, g, 10) - base == pytest.approx(

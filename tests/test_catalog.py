@@ -142,7 +142,10 @@ def test_range_ordering_rejected(tmp_path):
         ({"dimensions": [1]}, "dimensions"),
         ({"resolution": {}}, "resolution"),
         (
-            {"resolution": {"pixels": {"width": 10, "height": 10}, "scan": {"channels": 1, "horizontal_res_deg": 1, "vertical_res_deg": 1}}},
+            {"resolution": {
+                "pixels": {"width": 10, "height": 10},
+                "scan": {"channels": 1, "horizontal_res_deg": 1, "vertical_res_deg": 1},
+            }},
             "resolution",
         ),
         ({"accuracy": {}}, "accuracy"),
@@ -216,15 +219,25 @@ def test_every_loader_words_file_errors_alike(tmp_path, monkeypatch, loader):
     bad.write_text("sensors: [unclosed", encoding="utf-8")
     latin = tmp_path / "latin.yaml"
     latin.write_bytes("sensors: [caf\u00e9]".encode("latin-1"))
+    repeated = tmp_path / "repeated.yaml"
+    repeated.write_text("sensors: []\nsensors: []\n", encoding="utf-8")
+    huge = tmp_path / "huge.yaml"
+    huge.write_text("sensors: " + "9" * 5000 + "\n", encoding="utf-8")
     # with libyaml's CSafeLoader (when PyYAML has it), then without it
     for _ in range(2):
         with pytest.raises(ConfigError) as exc:
             loader(missing)
         assert str(exc.value) == f"file not found: {missing}"
-        for path, problem in ((bad, "cannot parse"), (latin, "cannot parse"), (tmp_path, "cannot read")):
+        for path, start in (
+            (bad, f"cannot parse {bad}: "),
+            (latin, f"cannot parse {latin}: "),
+            (repeated, f"cannot parse {repeated}: duplicate key 'sensors' (first at line 1)\n"),
+            (huge, f"cannot parse {huge}: "),
+            (tmp_path, f"cannot read {tmp_path}: "),
+        ):
             with pytest.raises(ConfigError) as exc:
                 loader(path)
-            assert str(exc.value).startswith(f"{problem} {path}: ")
+            assert str(exc.value).startswith(start)
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
 
 
@@ -249,7 +262,7 @@ def test_reader_parses_with_libyaml_when_present(monkeypatch):
 
     monkeypatch.setattr(yaml, "load", spy)
     load_mission(bundled_path("paper_mission.yaml"))
-    assert loaders == [yaml.CSafeLoader]
+    assert len(loaders) == 1 and issubclass(loaders[0], yaml.CSafeLoader)
 
 
 def test_importing_the_package_does_not_load_pyyaml():
@@ -298,8 +311,14 @@ def test_subset_by_modality(catalog):
             "<sensor>.accuracy: exactly one of 'percent' or 'absolute_mm' must be present",
         ),
         (lambda: FieldOfView(horizontal_deg=-5), "<sensor>.fov.horizontal_deg: must be in (0, 360]"),
-        (lambda: FieldOfView(horizontal_deg=90, vertical_deg=400), "<sensor>.fov.vertical_deg: must be in (0, 360]"),
-        (lambda: FieldOfView(horizontal_deg=90, diagonal_deg=0), "<sensor>.fov.diagonal_deg: must be in (0, 360]"),
+        (
+            lambda: FieldOfView(horizontal_deg=90, vertical_deg=400),
+            "<sensor>.fov.vertical_deg: must be in (0, 360]",
+        ),
+        (
+            lambda: FieldOfView(horizontal_deg=90, diagonal_deg=0),
+            "<sensor>.fov.diagonal_deg: must be in (0, 360]",
+        ),
     ],
 )
 def test_spec_records_built_in_code_check_their_own_rules(build, message):
@@ -374,27 +393,53 @@ def test_an_unknown_key_is_named_with_the_known_key_it_resembles(tmp_path, case)
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "put, sensor_id, message",
+    [
+        (_set("distal_sensors", 0), "d435ix",
+         "mounts.distal_sensors: unknown sensor id 'd435ix'; did you mean 'd435i'?"),
+        (_set("body_mounts", 0, "sensor"), "vlp61",
+         "mounts.body_mounts.sensor: unknown sensor id 'vlp61'; did you mean 'vlp16'?"),
+        (_set("body_axial_sensors", 1), "awr1834",
+         "mounts.body_axial_sensors: unknown sensor id 'awr1834'; did you mean 'awr1843'?"),
+        (_set("distal_sensors", 0), "zzz", "mounts.distal_sensors: unknown sensor id 'zzz'"),
+    ],
+    ids=["distal", "body_mount", "body_axial", "unlike"],
+)
+def test_an_unknown_mount_id_is_named_by_its_key(tmp_path, put, sensor_id, message):
+    doc = yaml.safe_load(bundled_path("paper_mounts.yaml").read_text(encoding="utf-8"))
+    put(doc, sensor_id)
+    path = tmp_path / "mounts.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        _load_mounts(path)
+    assert str(exc.value) == message
+
+
 # Every field read with the typed enum or text reader: the fixture, how to
 # put a value there, the ``subject.field:`` its errors start with, the one
 # an unknown string's error starts with (None: any string is valid), a
 # valid string and where the loaded result holds what was read.
 TYPED_FIELDS = {
-    "sensor.modality": ("paper_catalog.yaml", load_catalog, _set("sensors", 0, "modality"), "rsbpearl.modality:",
-                        "rsbpearl.modality:", "radar", lambda c: [c.get("rsbpearl").modality.value]),
+    "sensor.modality": ("paper_catalog.yaml", load_catalog, _set("sensors", 0, "modality"),
+                        "rsbpearl.modality:", "rsbpearl.modality:", "radar",
+                        lambda c: [c.get("rsbpearl").modality.value]),
     "profile.stage": ("far_field.profile", load_profile, _set("stage"), "profile.stage:", "profile.stage:",
                       "near_field", lambda p: [p.stage.value]),
-    "criterion.name": ("far_field.profile", load_profile, _set("criteria", 0, "name"), "far_field.criteria.name:",
-                       "far_field.criteria.name:", "resolution", lambda p: [p.criteria[0].name.value]),
+    "criterion.name": ("far_field.profile", load_profile, _set("criteria", 0, "name"),
+                       "far_field.criteria.name:", "far_field.criteria.name:", "resolution",
+                       lambda p: [p.criteria[0].name.value]),
     "criterion.kind": ("far_field.profile", load_profile, _set("criteria", 0, "kind"), "resolution.kind:",
                        "resolution.kind:", "objective", lambda p: [p.criteria[0].kind.value]),
     "bin.quantity": ("far_field.profile", load_profile, _set("criteria", 0, "bin", "quantity"),
                      "resolution.bin.quantity:", "resolution.bin.quantity:", "mass_g",
                      lambda p: [p.criteria[0].bins.quantity]),
-    "bin.ordinal_field": ("far_field.profile", load_profile, _set("criteria", 4, "bin", "ordinal_field"),
+    "bin.ordinal_field": ("far_field.profile", load_profile,
+                          _set("criteria", 4, "bin", "ordinal_field"),
                           "darkness.bin.ordinal_field:", "darkness.bin.ordinal_field:", "dust_robust",
                           lambda p: [p.criteria[4].bins.ordinal_field]),
-    "overrides.sensor": ("far_field.profile", load_profile, _rename("overrides", "rsbpearl"), "far_field.overrides:",
-                         None, "sonar_x", lambda p: list(p.overrides)),
+    "overrides.sensor": ("far_field.profile", load_profile, _rename("overrides", "rsbpearl"),
+                         "far_field.overrides:", None, "sonar_x", lambda p: list(p.overrides)),
     "overrides.criterion": ("far_field.profile", load_profile, _rename("overrides", "rsbpearl", "resolution"),
                             "rsbpearl.overrides:", "rsbpearl.overrides:", "fov",
                             lambda p: [c.value for c in p.overrides["rsbpearl"]]),
@@ -403,14 +448,17 @@ TYPED_FIELDS = {
     "exemplars.modality": ("modality.profile", load_profile, _rename("exemplars", "lidar"),
                            "modality_overview.exemplars:", "modality_overview.exemplars:", "sonar",
                            lambda p: [m.value for m in p.exemplars]),
-    "exemplars.sensor": ("modality.profile", load_profile, _set("exemplars", "lidar"), "modality_overview.exemplars:",
-                         None, "os1_32", lambda p: list(p.exemplars.values())),
-    "body_mounts.sensor": ("paper_mounts.yaml", _load_mounts, _set("body_mounts", 0, "sensor"), "mounts.sensor:",
-                           "mounts.sensor:", "os1_32", lambda s: [m.sensor.id for m in s.body_mounts]),
-    "body_axial_sensors": ("paper_mounts.yaml", _load_mounts, _set("body_axial_sensors", 0), "mounts.sensor:",
-                           "mounts.sensor:", "xm132", lambda s: [u.id for u in s.body_axial]),
-    "distal_sensors": ("paper_mounts.yaml", _load_mounts, _set("distal_sensors", 0), "mounts.sensor:",
-                       "mounts.sensor:", "zed2", lambda s: [u.id for u in s.distal]),
+    "exemplars.sensor": ("modality.profile", load_profile, _set("exemplars", "lidar"),
+                         "modality_overview.exemplars:", None, "os1_32",
+                         lambda p: list(p.exemplars.values())),
+    "body_mounts.sensor": ("paper_mounts.yaml", _load_mounts, _set("body_mounts", 0, "sensor"),
+                           "mounts.body_mounts.sensor:", "mounts.body_mounts.sensor:", "os1_32",
+                           lambda s: [m.sensor.id for m in s.body_mounts]),
+    "body_axial_sensors": ("paper_mounts.yaml", _load_mounts, _set("body_axial_sensors", 0),
+                           "mounts.body_axial_sensors:", "mounts.body_axial_sensors:", "xm132",
+                           lambda s: [u.id for u in s.body_axial]),
+    "distal_sensors": ("paper_mounts.yaml", _load_mounts, _set("distal_sensors", 0), "mounts.distal_sensors:",
+                       "mounts.distal_sensors:", "zed2", lambda s: [u.id for u in s.distal]),
 }
 # Fields that are mapping keys; a list or mapping cannot be a YAML key.
 KEY_FIELDS = {"overrides.sensor", "overrides.criterion", "exemplars.modality"}

@@ -50,13 +50,15 @@ def test_evaluate_modality_grid(capsys):
     assert code == 0
     lidar_row = next(line for line in out.splitlines() if line.startswith("lidar"))
     # exemplar names contain spaces; the grid is the last ten columns
-    assert lidar_row.split()[-10:] == ["High", "High", "High", "High", "High", "Low", "Low", "High", "Low", "Low"]
+    grades = ["High", "High", "High", "High", "High", "Low", "Low", "High", "Low", "Low"]
+    assert lidar_row.split()[-10:] == grades
 
 
 def test_evaluate_csv_same_numbers(capsys):
     code, table_out, _ = run(capsys, "evaluate", "--preset", "paper", "--profile", "far_field")
-    code2, csv_out, _ = run(capsys, "evaluate", "--preset", "paper", "--profile", "far_field", "--format", "csv")
-    code3, md_out, _ = run(capsys, "evaluate", "--preset", "paper", "--profile", "far_field", "--format", "md")
+    argv = ("evaluate", "--preset", "paper", "--profile", "far_field", "--format")
+    code2, csv_out, _ = run(capsys, *argv, "csv")
+    code3, md_out, _ = run(capsys, *argv, "md")
     assert code == code2 == code3 == 0
     grab = lambda text: re.findall(r"(?<![\w.])\d+(?:\.\d+)?(?![\w.])", text)
     assert grab(csv_out) == grab(md_out) == grab(table_out)
@@ -248,8 +250,12 @@ def test_report_parses_each_file_once(capsys, monkeypatch, tmp_path):
 def test_report_reuses_the_bundled_profiles_its_flags_name(capsys, monkeypatch):
     parsed = []
     load = yaml.load
-    monkeypatch.setattr(yaml, "load", lambda stream, Loader: parsed.append(stream.name) or load(stream, Loader=Loader))
-    code, _, _ = run(capsys, "report", "--preset", "paper", "--far-profile", "far_field", "--near-profile", "near_field")
+    monkeypatch.setattr(
+        yaml, "load", lambda stream, Loader: parsed.append(stream.name) or load(stream, Loader=Loader)
+    )
+    code, _, _ = run(
+        capsys, "report", "--preset", "paper", "--far-profile", "far_field", "--near-profile", "near_field"
+    )
     assert code == 0
     assert len(parsed) == len(set(parsed)) == 6
 
@@ -365,7 +371,9 @@ def test_coverage_plans_only_for_the_format_that_prints_the_plan(capsys, monkeyp
 
 
 def test_coverage_plans_against_the_longest_range_tip_sensor(capsys, tmp_path):
-    mounts = _mutated(tmp_path, "paper_mounts.yaml", lambda d: d.__setitem__("distal_sensors", ["d435i", "zed2"]))
+    mounts = _mutated(
+        tmp_path, "paper_mounts.yaml", lambda d: d.__setitem__("distal_sensors", ["d435i", "zed2"])
+    )
     code, out, _ = run(capsys, "coverage", "--preset", "paper", "--mounts", mounts)
     assert code == 0
     assert "stage plan: far=vlp16 near=zed2" in out
@@ -427,7 +435,8 @@ _SELECT = [
 PINNED_FLAGS = {
     "evaluate": ("score a catalog against a profile", [
         *_COMMON,
-        ("--profile", None, None, None, None, "profile file, or shorthand: far_field / near_field / modality"),
+        ("--profile", None, None, None, None,
+         "profile file, or shorthand: far_field / near_field / modality"),
     ]),
     "budget": ("mass and buckling budget report", [
         *_COMMON, _MISSION, _MOUNTS,
@@ -441,7 +450,8 @@ PINNED_FLAGS = {
     ]),
     "select": ("choose the best feasible sensor suite", [
         *_COMMON, _MISSION, *_SELECT,
-        ("--sweep", None, None, 3, ("CRITERION", "MIN", "MAX"), "sweep one criterion's weight over an integer range"),
+        ("--sweep", None, None, 3, ("CRITERION", "MIN", "MAX"),
+         "sweep one criterion's weight over an integer range"),
     ]),
     "report": ("bundle every analysis into one report", [*_COMMON, _MISSION, _MOUNTS, *_SELECT]),
 }
@@ -522,7 +532,8 @@ DEFECTS = {
     "nan-bin-cutoff": (
         lambda tmp: [
             "evaluate", "--preset", "paper", "--profile",
-            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][2]["bin"].__setitem__("high", float("nan"))),
+            _mutated(tmp, "far_field.profile",
+                     lambda d: d["criteria"][2]["bin"].__setitem__("high", float("nan"))),
         ],
         "error: fov.bin.high: must be finite",
     ),
@@ -571,21 +582,24 @@ DEFECTS = {
     "spinning-is-a-string": (
         lambda tmp: [
             "coverage", "--preset", "paper", "--mounts",
-            _mutated(tmp, "paper_mounts.yaml", lambda d: d["body_mounts"][0].__setitem__("spinning", "false")),
+            _mutated(tmp, "paper_mounts.yaml",
+                     lambda d: d["body_mounts"][0].__setitem__("spinning", "false")),
         ],
         "error: mounts.body_mounts.spinning: expected true or false, got 'false'",
     ),
     "higher-is-better-is-a-string": (
         lambda tmp: [
             "evaluate", "--preset", "paper", "--profile",
-            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][0]["bin"].__setitem__("higher_is_better", "false")),
+            _mutated(tmp, "far_field.profile",
+                     lambda d: d["criteria"][0]["bin"].__setitem__("higher_is_better", "false")),
         ],
         "error: resolution.bin.higher_is_better: expected true or false, got 'false'",
     ),
     "bin-inclusive-is-a-number": (
         lambda tmp: [
             "evaluate", "--preset", "paper", "--profile",
-            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][2]["bin"].__setitem__("high_inclusive", 0)),
+            _mutated(tmp, "far_field.profile",
+                     lambda d: d["criteria"][2]["bin"].__setitem__("high_inclusive", 0)),
         ],
         "error: fov.bin.high_inclusive: expected true or false, got 0",
     ),
@@ -622,14 +636,16 @@ DEFECTS = {
             "evaluate", "--preset", "paper", "--profile",
             _mutated(tmp, "far_field.profile", lambda d: d.__setitem__("modalities", ["lidar", "bogus"])),
         ],
-        "error: far_field.modalities: must be one of: lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
+        "error: far_field.modalities: must be one of: "
+        "lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
     ),
     "exemplar-modality-unknown": (
         lambda tmp: [
             "evaluate", "--preset", "paper", "--profile",
             _mutated(tmp, "modality.profile", lambda d: d["exemplars"].__setitem__("bogus", "vlp16")),
         ],
-        "error: modality_overview.exemplars: must be one of: lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
+        "error: modality_overview.exemplars: must be one of: "
+        "lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
     ),
     "analysis-tube-body-above-the-ceiling": (
         lambda tmp: [
@@ -689,10 +705,20 @@ DEFECTS = {
         # the catalog's id is the string "16"; the mounts file's is the number 16
         lambda tmp: [
             "coverage", "--preset", "paper",
-            "--catalog", _mutated(tmp, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("id", "16")),
-            "--mounts", _mutated(tmp, "paper_mounts.yaml", lambda d: [m.__setitem__("sensor", 16) for m in d["body_mounts"]]),
+            "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("id", "16")),
+            "--mounts",
+            _mutated(tmp, "paper_mounts.yaml",
+                     lambda d: [m.__setitem__("sensor", 16) for m in d["body_mounts"]]),
         ],
-        "error: mounts.sensor: expected a string, got 16",
+        "error: mounts.body_mounts.sensor: expected a string, got 16",
+    ),
+    "mounts-sensor-id-unknown": (
+        lambda tmp: [
+            "coverage", "--preset", "paper", "--mounts",
+            _mutated(tmp, "paper_mounts.yaml", lambda d: d["distal_sensors"].__setitem__(0, "d435ix")),
+        ],
+        "error: mounts.distal_sensors: unknown sensor id 'd435ix'; did you mean 'd435i'?\n",
     ),
 }
 # Budgets and sensor counts below their bound, in both commands that take them.

@@ -20,6 +20,7 @@ from boomsuite.geometry import (
     near_anchor_usable,
     near_field_threshold,
     section_coverage,
+    stage_anchor,
     stage_plan,
     strategy_recommend,
 )
@@ -362,6 +363,20 @@ def test_plan_usability_splits_into_one_test_per_anchor(boom):
             assert plan.far_ok == far_anchor_usable(far, boom)
             seen.add((plan.valid, plan.marginal))
     assert seen == {(True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("range_min, range_max", [(1.0, 50.0), (0.5, 3.0)], ids=["from-L/3", "to-L"])
+def test_a_far_anchor_on_either_edge_is_usable(range_min, range_max):
+    # with L = 3 m the near-field boundary is 1 m; each case sits one range end on an edge
+    assert far_anchor_usable(_sensor(range_min=range_min, range_max=range_max), 3.0)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["a-first", "b-first"])
+def test_stage_anchor_takes_the_first_of_equal_ranges(order):
+    pair = [_sensor(id="a", range_min=0.1, range_max=40.0), _sensor(id="b", range_min=0.5, range_max=40.0)]
+    shorter = _sensor(id="c", range_min=0.1, range_max=20.0)
+    first, second = (pair[i] for i in order)
+    assert stage_anchor((shorter, first, second)) is first
 
 
 @settings(max_examples=80, deadline=None)

@@ -19,7 +19,9 @@ SRC = Path(boomsuite.__file__).resolve().parent.parent
 
 def loaded_after(code: str) -> set[str]:
     """The ``boomsuite.*`` submodules a fresh interpreter holds after ``code``."""
-    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('boomsuite.'))))"
+    report = (
+        "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('boomsuite.'))))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
         env={**os.environ, "PYTHONPATH": str(SRC)},

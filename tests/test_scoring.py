@@ -18,7 +18,7 @@ from boomsuite.scoring import (
     score_matrix,
 )
 
-from oracles import random_catalog, random_profile
+from oracles import only, random_catalog, random_profile, weights_times
 
 FAR_SUMS = {"rsbpearl": 23, "vlp16": 26, "cygbot_mini": 20, "iphone12": 23, "os1_32": 26}
 NEAR_SUMS = {"firefly_s": 14, "d435i": 24, "d455i": 20, "zed2": 23, "oak_d": 18}
@@ -28,39 +28,43 @@ NEAR_SUMS = {"firefly_s": 14, "d435i": 24, "d455i": 20, "zed2": 23, "oak_d": 18}
 # bin rules
 
 
+def _criterion(profile, name):
+    return next(c for c in profile.criteria if c.name is name)
+
+
 def test_bin_range_high(catalog, far_profile):
-    crit = far_profile.criterion(CriterionName.RANGE)
+    crit = _criterion(far_profile, CriterionName.RANGE)
     assert crit.bins.apply(catalog.get("vlp16")) == 2
 
 
 def test_bin_darkness_passthrough(catalog, near_profile):
-    crit = near_profile.criterion(CriterionName.DARKNESS)
+    crit = _criterion(near_profile, CriterionName.DARKNESS)
     assert crit.bins.apply(catalog.get("firefly_s")) == 0
 
 
 def test_bin_range_low(catalog, far_profile):
-    crit = far_profile.criterion(CriterionName.RANGE)
+    crit = _criterion(far_profile, CriterionName.RANGE)
     assert crit.bins.apply(catalog.get("cygbot_mini")) == 0
 
 
 def test_bin_absent_power_is_none_and_overridden(catalog, far_profile):
-    crit = far_profile.criterion(CriterionName.POWER)
+    crit = _criterion(far_profile, CriterionName.POWER)
     assert crit.bins.apply(catalog.get("iphone12")) is None
-    pool = catalog.subset(ids=["iphone12"])
+    pool = only(catalog, ["iphone12"])
     matrix = score_matrix(pool, far_profile)
     assert matrix.score("iphone12", CriterionName.POWER) == 2
 
 
 def test_bin_boundaries(catalog, far_profile):
     # range_max exactly 3 m is mid (the low region is strictly below 3)
-    crit = far_profile.criterion(CriterionName.RANGE)
+    crit = _criterion(far_profile, CriterionName.RANGE)
     assert crit.bins.apply(catalog.get("d435i")) == 1
     # resolution at 2 MP or better is high, at 0.5 MP or less is low
-    res = far_profile.criterion(CriterionName.RESOLUTION)
+    res = _criterion(far_profile, CriterionName.RESOLUTION)
     assert res.bins.apply(catalog.get("d435i")) == 2       # 2.07 MP
     assert res.bins.apply(catalog.get("cygbot_mini")) == 0  # 0.0096 MP
     # accuracy converts absolute error against nominal range: 20mm/30m
-    acc = far_profile.criterion(CriterionName.ACCURACY)
+    acc = _criterion(far_profile, CriterionName.ACCURACY)
     assert acc.bins.apply(catalog.get("rsbpearl")) == 2
 
 
@@ -120,7 +124,7 @@ def test_all_zero_weights_rank_in_catalog_order(catalog, far_profile):
 def test_unresolved_absent_cells_error(catalog, far_profile):
     # the far-field profile has no overrides for cameras: absent cells must
     # surface as a ScoringError naming the sensor/criterion pairs
-    pool = catalog.subset(ids=["firefly_s"])
+    pool = only(catalog, ["firefly_s"])
     with pytest.raises(ScoringError) as exc:
         score_matrix(pool, far_profile)
     assert ("firefly_s", "accuracy") in exc.value.pairs
@@ -198,15 +202,18 @@ def test_modality_grid_reproduces_overview(catalog, modality_profile):
 
 
 def test_modality_radar_row_highlights(catalog, modality_profile):
-    row = modality_table(catalog, modality_profile, modalities=[Modality.RADAR])[Modality.RADAR]
+    row = modality_table(catalog, modality_profile)[Modality.RADAR]
     for name in (CriterionName.RANGE, CriterionName.POWER, CriterionName.DARKNESS,
                  CriterionName.DUST, CriterionName.LIGHTNESS):
         assert row[name] is Ordinal.HIGH
 
 
 def test_modality_without_exemplar_errors(catalog, modality_profile):
-    with pytest.raises(ValidationError):
-        modality_table(catalog, modality_profile, modalities=[Modality.SONAR])
+    # the profile names d435i as the 3D cameras' exemplar; the other 3D cameras stay
+    without_d435i = Catalog(tuple(s for s in catalog if s.id != "d435i"))
+    with pytest.raises(ValidationError) as exc:
+        modality_table(without_d435i, modality_profile)
+    assert str(exc.value) == "camera3d.exemplar: sensor 'd435i' not in catalog"
 
 
 def test_single_modality_catalog_one_row(catalog, modality_profile):
@@ -242,7 +249,7 @@ def test_uniform_weight_scaling_preserves_ranking_and_ties(seed, size, k):
     cat = random_catalog(rng, size)
     profile = random_profile(rng, cat, Stage.FAR_FIELD)
     base = score_matrix(cat, profile)
-    scaled = score_matrix(cat, profile.scaled(k))
+    scaled = score_matrix(cat, weights_times(profile, k))
     assert scaled.ranking == base.ranking
     for sid in cat.ids():
         assert scaled.weighted_sums[sid] == k * base.weighted_sums[sid]

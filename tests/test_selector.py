@@ -31,7 +31,7 @@ from boomsuite.selector import (
     sensitivity_report,
 )
 
-from oracles import random_catalog, random_mission, random_profile
+from oracles import only, random_catalog, random_mission, random_profile, weights_times
 
 # ---------------------------------------------------------------------------
 # reference selections
@@ -97,6 +97,13 @@ def test_tight_distal_budget_falls_back_to_lighter_camera(catalog, mission, far_
     rules = paper_rules(mission, far_profile, near_profile, distal_budget=0.2)
     suite = select_best(catalog, rules, mission)
     assert suite.distal_sensors == ("zed2",)  # 0.166 kg, next-best score 23
+
+
+def test_a_body_set_weighing_exactly_its_budget_is_admitted(catalog, mission, far_profile, near_profile):
+    rules = paper_rules(mission, far_profile, near_profile, body_budget=0.83)
+    suite = select_best(catalog, rules, mission)
+    assert suite.body_sensors == ("vlp16",)  # 830 g, on the budget; os1_32 only if it were shut out
+    assert suite.body_mass == 0.83
 
 
 def test_zero_budgets_enumerate_empty_and_selection_errors(catalog, mission, far_profile, near_profile):
@@ -227,7 +234,7 @@ def test_affordability_sweep_crossover(catalog, mission, far_profile, near_profi
 
 def test_sweep_of_current_weight_matches_select_best(catalog, mission, far_profile, near_profile):
     rules = paper_rules(mission, far_profile, near_profile)
-    current = far_profile.criterion(CriterionName.AFFORDABILITY).weight
+    current = next(c.weight for c in far_profile.criteria if c.name is CriterionName.AFFORDABILITY)
     rows = sensitivity_report(catalog, rules, mission, CriterionName.AFFORDABILITY, [current])
     suite = select_best(catalog, rules, mission)
     assert rows[0].body_sensors == suite.body_sensors
@@ -308,7 +315,7 @@ def _feasibility_invariants(suite, rules, catalog):
     assert len(suite.body_sensors) <= rules[0].max_sensors
     assert len(suite.distal_sensors) <= rules[1].max_sensors
     for rule, chosen in ((rules[0], suite.body_sensors), (rules[1], suite.distal_sensors)):
-        pool = catalog.subset(ids=chosen)
+        pool = only(catalog, chosen)
         matrix = score_matrix(pool, rule.profile)
         assert not any(matrix.failing[sid] for sid in chosen)
     assert suite.stage_plan.valid or suite.stage_plan.marginal
@@ -354,7 +361,7 @@ def test_argmax_invariant_under_uniform_weight_scaling():
             PlacementRule(
                 placement=r.placement,
                 mass_budget=r.mass_budget,
-                profile=r.profile.scaled(k),
+                profile=weights_times(r.profile, k),
                 max_sensors=r.max_sensors,
                 modalities=r.modalities,
                 min_dust_robust_modalities=r.min_dust_robust_modalities,
