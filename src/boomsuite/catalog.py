@@ -230,14 +230,12 @@ class MissionConfig:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Ordered, immutable collection of sensors with unique ids."""
+    """Ordered, immutable collection of sensors with unique ids, possibly none."""
 
     sensors: tuple[SensorRecord, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.sensors:
-            raise ValidationError("catalog", "sensors", "must be non-empty")
         index: dict[str, int] = {}
         for i, sensor in enumerate(self.sensors):
             if sensor.id in index:
@@ -260,10 +258,6 @@ class Catalog:
         except KeyError:
             raise KeyError(f"no sensor with id {sensor_id!r}") from None
 
-    def position(self, sensor_id: str) -> int:
-        """Catalog index of a sensor; used for stable tie-breaking."""
-        return self._index[sensor_id]
-
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.sensors)
 
@@ -274,9 +268,12 @@ class Catalog:
             seen.setdefault(s.modality, None)
         return tuple(seen)
 
-    def subset(self, *, modalities: Iterable[Modality]) -> "Catalog":
-        """New catalog of the sensors of the given modalities, preserving
-        order.  Raises ValidationError if nothing remains."""
+    def subset(self, *, modalities: Iterable[Modality] | None) -> "Catalog":
+        """The sensors of the given modalities, in catalog order: every
+        sensor when ``modalities`` is None, none when it is empty.  This is
+        the pool a scoring profile or a placement rule considers."""
+        if modalities is None:
+            return self
         keep = set(modalities)
         return Catalog(tuple(s for s in self.sensors if s.modality in keep))
 
@@ -384,9 +381,13 @@ def _mapping(value: Any, subject: str, field_name: str) -> Mapping[str, Any]:
 def _number(value: Any, subject: str, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(subject, field_name, f"expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise ValidationError(subject, field_name, "must be finite")
-    return float(value)
+    return number
 
 
 def _text(value: Any, subject: str, field_name: str) -> str:
@@ -402,10 +403,11 @@ def _boolean(value: Any, subject: str, field_name: str) -> bool:
 
 
 def _integer(value: Any, subject: str, field_name: str) -> int:
+    """An integer, or a float of integral value; an integer is kept exact."""
     number = _number(value, subject, field_name)
     if not number.is_integer():
         raise ValidationError(subject, field_name, f"expected an integer, got {value!r}")
-    return int(number)
+    return value if isinstance(value, int) else int(number)
 
 
 def _ordinal(value: Any, subject: str, field_name: str) -> Ordinal:
@@ -498,7 +500,10 @@ def load_catalog(path: str | Path) -> Catalog:
     Raises ConfigError on unreadable/unparseable files and
     ValidationError (naming sensor id and field) on invariant violations.
     """
-    return Catalog(_read(_read_yaml(path), _CATALOG, "catalog")["sensors"])
+    sensors = _read(_read_yaml(path), _CATALOG, "catalog")["sensors"]
+    if not sensors:
+        raise ValidationError("catalog", "sensors", "must be non-empty")
+    return Catalog(sensors)
 
 
 def load_mission(path: str | Path) -> MissionConfig:

@@ -116,7 +116,9 @@ def _matrix_section(catalog: Catalog, profile: ScoringProfile, fmt: str, title: 
         return modality_overview_table(
             table, catalog, dict(profile.exemplars), fmt, title=title or "Modality Overview"
         )
-    pool = catalog.subset(modalities=profile.modalities) if profile.modalities else catalog
+    pool = catalog.subset(modalities=profile.modalities)
+    if not pool.sensors:
+        raise ValidationError(profile.stage.value, "modalities", "matches no sensor in the catalog")
     matrix = score_matrix(pool, profile)
     return decision_matrix_table(
         matrix, pool, fmt, title=title or f"Decision Matrix ({profile.stage.value})"
@@ -162,6 +164,18 @@ def _selection(
     before = [("body budget: {} of {} kg; distal budget: {} of {} kg",
                suite.body_mass, rules[0].mass_budget, suite.distal_mass, rules[1].mass_budget)]
     return suite, selection_lines(suite, fmt, title="Selected Suite", before=before if budgets else ())
+
+
+def _rules(
+    args: argparse.Namespace, mission: MissionConfig, far: ScoringProfile, near: ScoringProfile
+) -> list[PlacementRule]:
+    """The paper's placement rules, with the limits the selecting flags give."""
+    from .selector import paper_rules
+
+    return paper_rules(
+        mission, far, near, body_max=args.body_max, distal_max=args.distal_max,
+        redundancy=args.redundancy, body_budget=args.body_budget, distal_budget=args.distal_budget,
+    )
 
 
 def _no_suite(exc: NoFeasibleSuiteError) -> str:
@@ -250,15 +264,12 @@ def cmd_coverage(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
     from .reporting import sensitivity_table
-    from .selector import paper_rules, sensitivity_report
+    from .selector import sensitivity_report
 
     catalog, mission = _load_inputs(args)
     far_profile = _load_profile(args.far_profile or "far_field", catalog)
     near_profile = _load_profile(args.near_profile or "near_field", catalog)
-    rules = paper_rules(
-        mission, far_profile, near_profile, body_max=args.body_max, distal_max=args.distal_max,
-        redundancy=args.redundancy, body_budget=args.body_budget, distal_budget=args.distal_budget,
-    )
+    rules = _rules(args, mission, far_profile, near_profile)
 
     if args.sweep is not None:
         criterion, weights = args.sweep
@@ -278,7 +289,6 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     from .budget import budget_report
     from .mounts import load_mounts
     from .reporting import budget_table, coverage_table
-    from .selector import paper_rules
 
     catalog, mission = _load_inputs(args)
     # The bundled far- and near-field profiles feed both the matrices and,
@@ -300,10 +310,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
         far_profile = _load_profile(args.far_profile, catalog)
     if (args.near_profile or "near_field") != "near_field":
         near_profile = _load_profile(args.near_profile, catalog)
-    rules = paper_rules(
-        mission, far_profile, near_profile, body_max=args.body_max, distal_max=args.distal_max,
-        redundancy=args.redundancy, body_budget=args.body_budget, distal_budget=args.distal_budget,
-    )
+    rules = _rules(args, mission, far_profile, near_profile)
     suite, section = _selection(catalog, mission, rules, args.format)
     sections.append(section)
 

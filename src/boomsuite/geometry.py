@@ -174,8 +174,6 @@ class StagePlan:
     far_field_max: float
     overlap: float
     blind_band: float
-    far_ok: bool
-    near_ok: bool
     valid: bool
     marginal: bool
 
@@ -366,8 +364,6 @@ def stage_plan(
         far_field_max=min(far_sensor.range_max, max(boom_length_m, FAR_RANGE_CREDIT_CAP_M)),
         overlap=overlap,
         blind_band=blind_band,
-        far_ok=far_ok,
-        near_ok=near_ok,
         valid=valid,
         marginal=marginal,
     )
@@ -382,8 +378,8 @@ def stage_anchor(sensors: Iterable[SensorRecord]) -> SensorRecord | None:
 
 
 def far_anchor_usable(sensor: SensorRecord, boom_length_m: float) -> bool:
-    """Whether a ranged sensor can be the far stage of a plan (``far_ok``):
-    it covers from the near-field boundary out to the full boom length."""
+    """Whether a ranged sensor can be the far stage of a plan, valid or
+    marginal: it covers from the near-field boundary out to the full boom length."""
     return sensor.range_min <= near_field_threshold(boom_length_m) and sensor.range_max >= boom_length_m
 
 

@@ -63,8 +63,6 @@ def fmt_num(value: float | int) -> str:
     """Canonical number rendering shared by every output format."""
     if isinstance(value, int):
         return str(value)
-    if value != value:  # NaN guard; should not happen
-        return "nan"
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     text = f"{value:.4f}".rstrip("0").rstrip(".")

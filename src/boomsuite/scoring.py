@@ -165,9 +165,9 @@ class ScoringProfile:
     ``overrides`` maps sensor id -> criterion name -> ordinal, recording
     judgment-based scores and filling cells where vendor data is absent.
     ``modalities`` names the sensor families the profile is meant to
-    evaluate (used by callers to pre-filter catalogs; score_matrix itself
-    scores whatever it is handed).  ``exemplars`` maps modality ->
-    sensor id for the modality-overview table.
+    evaluate, None for all (callers pick the pool with ``Catalog.subset``;
+    score_matrix itself scores whatever it is handed).  ``exemplars``
+    maps modality -> sensor id for the modality-overview table.
     """
 
     stage: Stage
@@ -210,7 +210,6 @@ class DecisionMatrix:
     scores 0 on, in profile order; it is eligible exactly when that is empty.
     """
 
-    stage: Stage
     sensor_ids: tuple[str, ...]
     criteria: tuple[CriterionName, ...]
     weights: Mapping[CriterionName, int]
@@ -268,17 +267,14 @@ def score_matrix(
     if unresolved:
         raise ScoringError(unresolved)
 
-    ranking = tuple(
-        sorted(catalog.ids(), key=lambda sid: (-sums[sid], catalog.position(sid)))
-    )
+    ids = catalog.ids()
     return DecisionMatrix(
-        stage=profile.stage,
-        sensor_ids=catalog.ids(),
+        sensor_ids=ids,
         criteria=tuple(c.name for c in profile.criteria),
         weights={c.name: c.weight for c in profile.criteria},
         scores=scores,
         weighted_sums=sums,
-        ranking=ranking,
+        ranking=tuple(sorted(ids, key=lambda sid: -sums[sid])),  # a stable sort: ties keep catalog order
         failing=failing,
     )
 

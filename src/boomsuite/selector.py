@@ -140,21 +140,16 @@ class _Slot:
     """Pre-computed candidate data for one placement."""
 
     rule: PlacementRule
-    matrix: DecisionMatrix | None
+    matrix: DecisionMatrix
     eligible: tuple[SensorRecord, ...]
 
     def score(self, sensor_id: str) -> int:
-        assert self.matrix is not None
         return self.matrix.weighted_sums[sensor_id]
 
 
 def _build_slot(catalog: Catalog, rule: PlacementRule) -> _Slot:
     modalities = rule.modalities if rule.modalities is not None else rule.profile.modalities
-    admitted = tuple(s for s in catalog if modalities is None or s.modality in modalities)
-    if not admitted:
-        # no candidates of the admitted modalities: the slot is unfillable
-        return _Slot(rule=rule, matrix=None, eligible=())
-    pool = Catalog(admitted)
+    pool = catalog.subset(modalities=modalities)
     matrix = score_matrix(pool, rule.profile)
     eligible = tuple(s for s in pool if not matrix.failing[s.id])
     return _Slot(rule=rule, matrix=matrix, eligible=eligible)
@@ -253,7 +248,7 @@ def _tie_key(body: tuple[SensorRecord, ...], distal: tuple[SensorRecord, ...]) -
 def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
     reasons = []
     for label, slot in (("body", body_slot), ("distal", distal_slot)):
-        if slot.matrix is None:
+        if not slot.matrix.sensor_ids:
             reasons.append(f"{label}: no candidate sensors of the admitted modalities")
             continue
         if not slot.eligible:

@@ -579,6 +579,20 @@ DEFECTS = {
         ],
         "error: mission.boom_count: expected an integer",
     ),
+    "boom-count-too-large-for-a-float": (
+        lambda tmp: [
+            "budget", "--preset", "paper", "--mission",
+            _mutated(tmp, "paper_mission.yaml", lambda d: d.__setitem__("boom_count", 10**399)),
+        ],
+        "error: mission.boom_count: must be finite",
+    ),
+    "mass-too-large-for-a-float": (
+        lambda tmp: [
+            "select", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("mass", 10**399)),
+        ],
+        "error: vlp16.mass: must be finite",
+    ),
     "spinning-is-a-string": (
         lambda tmp: [
             "coverage", "--preset", "paper", "--mounts",
@@ -638,6 +652,20 @@ DEFECTS = {
         ],
         "error: far_field.modalities: must be one of: "
         "lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
+    ),
+    "profile-modalities-match-no-sensor": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d.__setitem__("modalities", ["thermal"])),
+        ],
+        "error: far_field.modalities: matches no sensor in the catalog",
+    ),
+    "profile-modalities-empty": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d.__setitem__("modalities", [])),
+        ],
+        "error: far_field.modalities: matches no sensor in the catalog",
     ),
     "exemplar-modality-unknown": (
         lambda tmp: [

@@ -1,9 +1,10 @@
 """Exit-code contract under fuzzed input.
 
 Every command, run on mutated copies of the bundled fixtures (keys
-dropped or misspelled, values swapped for other types, NaN, infinities,
-negatives) and with mutated flags, returns 0, 1 or 2, and lets no
-exception other than argparse's ``SystemExit`` escape.  Other draws
+dropped, misspelled or repeated, values swapped for other types, NaN,
+infinities, negatives, integers too large for a float) and with mutated
+flags, returns 0, 1 or 2, and lets no exception other than argparse's
+``SystemExit`` escape.  Other draws
 perturb only within bounds (numbers nudged, flags inside their bounds),
 so that most of them reach the tables; every draw writes its file's keys
 in a shuffled order.  A return of 2 comes with an ``error:`` line, and
@@ -89,7 +90,11 @@ VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(-100, 100),
     st.integers(-3, 100),
+    st.integers(10**399, 10**400 - 1),
 )
+# The suffix that marks a key's repeat until the file text is written:
+# ``yaml.safe_dump`` writes a mapping, which cannot hold a key twice.
+REPEAT = "__repeat"
 
 
 def _field(data, doc):
@@ -109,16 +114,21 @@ def _field(data, doc):
 
 
 def _mutate(data, doc) -> None:
-    """Drop one field of ``doc``, misspell its key, or give it another value."""
+    """Drop one field of ``doc``, misspell its key, repeat it with another
+    value (marked, for ``_argv`` to write), or give it another value."""
     field = _field(data, doc)
     if field is None:
         return
     node, key = field
-    change = data.draw(st.sampled_from(["drop", "rename", "set"]))
+    change = data.draw(st.sampled_from(["drop", "rename", "repeat", "set"]))
     if change == "drop":
         del node[key]
     elif change == "rename" and isinstance(node, dict):
         node[f"{key}x"] = node.pop(key)
+    elif change == "repeat":
+        if not isinstance(node, dict):  # a list entry has no key: repeat a top-level one
+            node, key = doc, data.draw(st.sampled_from(sorted(doc, key=str)))
+        node[f"{key}{REPEAT}"] = data.draw(VALUES)
     else:
         node[key] = data.draw(VALUES)
 
@@ -158,7 +168,8 @@ def _argv(data, workdir: Path) -> list[str]:
         (_nudge if in_bounds else _mutate)(data, doc)
     path = workdir / fixture
     rnd = data.draw(st.randoms(use_true_random=False))
-    path.write_text(yaml.safe_dump(_shuffled(doc, rnd), sort_keys=False), encoding="utf-8")
+    text = yaml.safe_dump(_shuffled(doc, rnd), sort_keys=False)
+    path.write_text(text.replace(f"{REPEAT}:", ":"), encoding="utf-8")
     argv += [files[fixture], str(path)]
     for flag, texts in VALUE_FLAGS[command].items():
         if data.draw(st.booleans()):

@@ -62,7 +62,12 @@ def test_readme_quick_start_prints_what_it_says():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
-    _, tip_budget, fov, suite = out.getvalue().splitlines()
+    ranking, tip_budget, fov, suite = out.getvalue().splitlines()
+    # vlp16 and os1_32 tie at 26, rsbpearl and iphone12 at 23: each tie keeps catalog order
+    assert ranking == (
+        "('vlp16', 'os1_32', 'rsbpearl', 'iphone12', 'cygbot_mini') "
+        "{'rsbpearl': 23, 'vlp16': 26, 'cygbot_mini': 20, 'iphone12': 23, 'os1_32': 26}"
+    )
     assert round(float(tip_budget), 4) == 0.7295
     assert float(fov) == 120.0
     assert suite == "('vlp16',) ('d435i',)"
