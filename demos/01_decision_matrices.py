@@ -21,8 +21,7 @@ print(f"catalog: {len(catalog)} candidate sensors\n")
 # First pass: how does each sensing family do, one exemplar per family?
 modality_profile = load_profile(bundled_path("modality.profile"))
 grid = modality_table(catalog, modality_profile)
-print(modality_overview_table(grid, catalog, dict(modality_profile.exemplars), "table",
-                              title="Capability grid, one exemplar per modality"))
+print(modality_overview_table(grid, "table", title="Capability grid, one exemplar per modality"))
 print()
 
 # Second pass: head-to-head device scoring per stage.  score_matrix also

@@ -19,11 +19,9 @@ _EXPORTS = {
     for module, names in {
         "budget": (
             "BudgetReport",
-            "body_sensor_budget",
             "boom_mass",
             "budget_report",
             "max_distal_sensor_mass",
-            "pulloff_capacity_check",
             "shoulder_moment",
         ),
         "catalog": (
@@ -39,7 +37,6 @@ _EXPORTS = {
         "errors": (
             "ConfigError",
             "EnumerationGuardError",
-            "InfeasibleError",
             "NoFeasibleSuiteError",
             "ScoringError",
             "TradeStudyError",

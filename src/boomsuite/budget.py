@@ -20,15 +20,12 @@ import math
 from dataclasses import dataclass
 
 from .catalog import MissionConfig
-from .errors import InfeasibleError
 
 __all__ = [
     "BudgetReport",
     "boom_mass",
-    "body_sensor_budget",
     "shoulder_moment",
     "max_distal_sensor_mass",
-    "pulloff_capacity_check",
     "budget_report",
 ]
 
@@ -66,20 +63,6 @@ def boom_mass(length_m: float, density_g_per_m: float) -> float:
     return length_m * density_g_per_m / 1000.0
 
 
-def body_sensor_budget(
-    overall_kg: float, total_boom_kg: float, instruments_kg: float, fraction: float
-) -> float:
-    """Body perception allotment: a fraction of what remains after booms
-    and instruments.  Raises InfeasibleError when nothing remains."""
-    remainder = overall_kg - total_boom_kg - instruments_kg
-    if remainder <= 0:
-        raise InfeasibleError(
-            f"booms ({total_boom_kg} kg) + instruments ({instruments_kg} kg) "
-            f"leave no remainder of the {overall_kg} kg overall budget"
-        )
-    return fraction * remainder
-
-
 def shoulder_moment(
     m_sensor_kg: float, m_gripper_kg: float, m_boom_kg: float, g: float, length_m: float
 ) -> float:
@@ -114,69 +97,55 @@ def max_distal_sensor_mass(
     return max(0.0, m_sensor)
 
 
-def pulloff_capacity_check(
-    gripper_count: int, pulloff_per_gripper_n: float, total_mass_kg: float, g: float
-) -> tuple[bool, float]:
-    """Can the grippers hold the whole robot?  Returns (feasible, margin N)."""
-    if gripper_count <= 0 or pulloff_per_gripper_n <= 0 or g <= 0:
-        raise ValueError("gripper count, pulloff force and gravity must be > 0")
-    if total_mass_kg < 0:
-        raise ValueError("total mass must be >= 0 kg")
-    capacity = gripper_count * pulloff_per_gripper_n
-    weight = total_mass_kg * g
-    return weight <= capacity, capacity - weight
-
-
 def budget_report(
     mission: MissionConfig,
     distal_sensor_mass_kg: float = 0.0,
     body_sensor_mass_kg: float = 0.0,
 ) -> BudgetReport:
-    """Compose the full budget envelope and check a loadout against it."""
+    """Compose the full budget envelope and check a loadout against it.
+
+    The body budget is ``body_sensor_fraction`` of what booms and
+    instruments leave of the overall budget; the grippers must hold the
+    whole overall budget.  A budget the mission exhausts floors at 0, as
+    ``max_distal_sensor_mass`` floors the tip's, with a reason naming
+    what used it up, so the report is infeasible whatever the loadout.
+    """
     masses = {"distal_sensor_mass_kg": distal_sensor_mass_kg, "body_sensor_mass_kg": body_sensor_mass_kg}
     for name, m in masses.items():
         if not (math.isfinite(m) and m >= 0):
             raise ValueError(f"{name} must be finite and >= 0 kg")
-    one_boom = boom_mass(mission.boom_length, mission.boom_linear_density)
+    g, length, gripper = mission.gravity, mission.boom_length, mission.gripper_mass
+    one_boom = boom_mass(length, mission.boom_linear_density)
     total_booms = one_boom * mission.boom_count
-    body_budget = body_sensor_budget(
-        mission.overall_mass_budget,
-        total_booms,
-        mission.instrument_mass,
-        mission.body_sensor_fraction,
-    )
+    remainder = mission.overall_mass_budget - total_booms - mission.instrument_mass
+    body_budget = mission.body_sensor_fraction * max(0.0, remainder)
     distal_budget = max_distal_sensor_mass(
-        mission.critical_buckling_moment,
-        mission.buckling_margin,
-        mission.gripper_mass,
-        one_boom,
-        mission.gravity,
-        mission.boom_length,
+        mission.critical_buckling_moment, mission.buckling_margin, gripper, one_boom, g, length
     )
-    moment = shoulder_moment(
-        distal_sensor_mass_kg,
-        mission.gripper_mass,
-        one_boom,
-        mission.gravity,
-        mission.boom_length,
-    )
+    unloaded = shoulder_moment(0.0, gripper, one_boom, g, length)
     allowable = mission.critical_buckling_moment / (1.0 + mission.buckling_margin)
-    pull_ok, pull_margin = pulloff_capacity_check(
-        mission.boom_count,
-        mission.gripper_pulloff,
-        mission.overall_mass_budget,
-        mission.gravity,
-    )
+    capacity = mission.boom_count * mission.gripper_pulloff
+    weight = mission.overall_mass_budget * g
 
     body_margin = body_budget - body_sensor_mass_kg
     distal_margin = distal_budget - distal_sensor_mass_kg
     reasons = []
-    if not pull_ok:
-        reasons.append(f"gripper pulloff capacity short by {-pull_margin:.3f} N")
+    if weight > capacity:
+        reasons.append(f"gripper pulloff capacity short by {weight - capacity:.3f} N")
+    if unloaded > allowable:
+        reasons.append(
+            f"gripper and boom moment {unloaded:.4f} N*m exceeds the allowable "
+            f"{allowable:.4f} N*m, leaving no distal sensor budget"
+        )
     if distal_margin < 0:
         reasons.append(
             f"distal sensor mass {distal_sensor_mass_kg:.4f} kg exceeds "
             f"budget {distal_budget:.4f} kg"
+        )
+    if remainder <= 0:
+        reasons.append(
+            f"booms ({total_booms:.4f} kg) + instruments ({mission.instrument_mass:.4f} kg) "
+            f"leave no remainder of the {mission.overall_mass_budget:.4f} kg overall budget"
         )
     if body_margin < 0:
         reasons.append(
@@ -190,13 +159,13 @@ def budget_report(
         distal_sensor_budget=distal_budget,
         distal_sensor_mass=distal_sensor_mass_kg,
         body_sensor_mass=body_sensor_mass_kg,
-        shoulder_moment=moment,
+        shoulder_moment=shoulder_moment(distal_sensor_mass_kg, gripper, one_boom, g, length),
         allowable_moment=allowable,
-        pulloff_capacity=mission.boom_count * mission.gripper_pulloff,
-        weight_on_grippers=mission.overall_mass_budget * mission.gravity,
+        pulloff_capacity=capacity,
+        weight_on_grippers=weight,
         body_margin=body_margin,
         distal_margin=distal_margin,
-        pulloff_margin=pull_margin,
+        pulloff_margin=capacity - weight,
         feasible=not reasons,
         reasons=tuple(reasons),
     )

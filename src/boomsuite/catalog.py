@@ -178,6 +178,9 @@ class SensorRecord:
                 raise ValidationError(self.id, "resolution", "angular steps must be > 0")
         if self.dimensions is not None and len(self.dimensions) not in (2, 3):
             raise ValidationError(self.id, "dimensions", "expected 2 or 3 mm values")
+        for name in ("darkness_robust", "dust_robust", "implementation_ease"):
+            if not isinstance(getattr(self, name), (Ordinal, type(None))):  # not 2, True or 2.0
+                raise ValidationError(self.id, name, "must be an Ordinal or None")
 
     @property
     def mass_kg(self) -> float:

@@ -113,9 +113,7 @@ def _matrix_section(catalog: Catalog, profile: ScoringProfile, fmt: str, title: 
 
     if profile.stage is Stage.MODALITY_OVERVIEW:
         table = modality_table(catalog, profile)
-        return modality_overview_table(
-            table, catalog, dict(profile.exemplars), fmt, title=title or "Modality Overview"
-        )
+        return modality_overview_table(table, fmt, title=title or "Modality Overview")
     pool = catalog.subset(modalities=profile.modalities)
     if not pool.sensors:
         raise ValidationError(profile.stage.value, "modalities", "matches no sensor in the catalog")

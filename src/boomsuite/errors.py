@@ -51,10 +51,6 @@ class ScoringError(TradeStudyError):
         super().__init__(f"unresolved scores with no override: {listing}")
 
 
-class InfeasibleError(TradeStudyError):
-    """A budget computation has no non-negative solution."""
-
-
 class NoFeasibleSuiteError(TradeStudyError):
     """Suite selection found no assignment satisfying every constraint.
 

@@ -134,6 +134,12 @@ class Mount:
 
 @dataclass(frozen=True)
 class SurfaceCoverage:
+    """What the body mounts see of one surface.  ``seen_by`` lists the
+    mounts whose covered point nearest the body lies within range, and
+    ``visible`` is true when there is one; ``beyond_range`` when mounts
+    cover the surface but only out of range.  ``min_slant_m`` is the least
+    slant (m) to such a point over every covering mount, else None."""
+
     surface: str
     visible: bool
     beyond_range: bool
@@ -143,6 +149,9 @@ class SurfaceCoverage:
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """Each surface's coverage by name (floor, ceiling, right_wall,
+    left_wall), and the near-field boundary: a third of the boom length, m."""
+
     near_field_max: float
     surfaces: dict[str, SurfaceCoverage]
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # result types, for annotations only
     from .budget import BudgetReport
-    from .catalog import Catalog, Modality, Ordinal
+    from .catalog import Catalog, Modality, Ordinal, SensorRecord
     from .geometry import CoverageReport, StagePlan
     from .scoring import CriterionName, DecisionMatrix
     from .selector import SensitivityRow, SuiteSolution
@@ -143,20 +143,17 @@ def decision_matrix_table(
 
 
 def modality_overview_table(
-    table: dict[Modality, dict[CriterionName, Ordinal]],
-    catalog: Catalog,
-    exemplars: dict[Modality, str],
+    table: dict[Modality, tuple[SensorRecord, dict[CriterionName, Ordinal]]],
     fmt: str,
     title: str | None = None,
 ) -> str:
-    """Per-modality High/Mid/Low capability grid."""
+    """Per-modality High/Mid/Low capability grid, each row named after
+    the exemplar ``modality_table`` graded."""
     headers = ["Modality", "Exemplar"] + list(_CRITERION_LABELS.values())
     rows = []
-    for modality, cells in table.items():
-        exemplar_id = exemplars.get(modality)
-        exemplar = catalog.get(exemplar_id).name if exemplar_id else None
-        words = {c.value: grade.word for c, grade in cells.items()}
-        rows.append([modality.value, exemplar] + [words[c] for c in _CRITERION_LABELS])
+    for modality, (exemplar, grades) in table.items():
+        words = {c.value: grade.word for c, grade in grades.items()}
+        rows.append([modality.value, exemplar.name] + [words[c] for c in _CRITERION_LABELS])
     return render_table(headers, rows, fmt, title=title)
 
 

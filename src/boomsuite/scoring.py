@@ -279,27 +279,32 @@ def score_matrix(
     )
 
 
-def modality_table(catalog: Catalog, profile: ScoringProfile) -> dict[Modality, dict[CriterionName, Ordinal]]:
-    """Per-modality ordinal summary: one exemplar device for each modality
-    in the catalog.
+def modality_table(
+    catalog: Catalog, profile: ScoringProfile
+) -> dict[Modality, tuple[SensorRecord, dict[CriterionName, Ordinal]]]:
+    """Per-modality ordinal summary: for each modality in the catalog, the
+    exemplar sensor that stands for it and that sensor's grades.
 
-    Exemplars come from the profile's exemplar map, falling back to the
-    first catalog sensor of that modality.  An exemplar id missing from
-    the catalog is an error.
+    The exemplar is the one the profile names for the modality, else the
+    first catalog sensor of that modality.  A named exemplar missing from
+    the catalog, or of another modality, is an error.
     """
-    table: dict[Modality, dict[CriterionName, Ordinal]] = {}
+    table: dict[Modality, tuple[SensorRecord, dict[CriterionName, Ordinal]]] = {}
     for modality in catalog.modalities():
         exemplar_id = profile.exemplars.get(modality)
-        if exemplar_id is not None:
-            if exemplar_id not in catalog:
-                raise ValidationError(modality.value, "exemplar", f"sensor {exemplar_id!r} not in catalog")
-            exemplar = catalog.get(exemplar_id)
-        else:
+        key = f"exemplars.{modality.value}"
+        if exemplar_id is None:
             exemplar = next(s for s in catalog if s.modality is modality)
+        elif exemplar_id not in catalog:
+            raise ValidationError(profile.stage.value, key, f"sensor {exemplar_id!r} not in catalog")
+        else:
+            exemplar = catalog.get(exemplar_id)
+        if exemplar.modality is not modality:
+            kind = f"is a {exemplar.modality.value}, not a {modality.value}"
+            raise ValidationError(profile.stage.value, key, f"sensor {exemplar_id!r} {kind}")
         row_matrix = score_matrix(Catalog((exemplar,)), profile)
-        table[modality] = {
-            name: Ordinal(row_matrix.scores[exemplar.id][name]) for name in row_matrix.criteria
-        }
+        grades = {name: Ordinal(row_matrix.scores[exemplar.id][name]) for name in row_matrix.criteria}
+        table[modality] = exemplar, grades
     return table
 
 

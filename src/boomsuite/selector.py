@@ -376,6 +376,9 @@ def select_best(catalog: Catalog, rules: list[PlacementRule], mission: MissionCo
 
 @dataclass(frozen=True)
 class SensitivityRow:
+    """The suite chosen at one swept weight; ``changed`` when it differs
+    from the previous weight's."""
+
     weight: int
     body_sensors: tuple[str, ...]
     distal_sensors: tuple[str, ...]

@@ -1,18 +1,14 @@
 """Mass/buckling budget arithmetic and its consistency properties."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boomsuite.budget import (
-    body_sensor_budget,
-    boom_mass,
-    budget_report,
-    max_distal_sensor_mass,
-    pulloff_capacity_check,
-    shoulder_moment,
-)
-from boomsuite.errors import InfeasibleError
+from boomsuite.budget import boom_mass, budget_report, max_distal_sensor_mass, shoulder_moment
+from boomsuite.catalog import MissionConfig
 
 # frozen reference values, each computed by direct evaluation of the
 # governing expressions with the mission constants
@@ -40,17 +36,22 @@ def test_boom_mass_rejects_nonpositive(length, density):
         boom_mass(length, density)
 
 
-def test_body_budget_reference():
-    assert body_sensor_budget(30, 4.96, 15.1, 0.20) == pytest.approx(1.988, abs=1e-12)
+def test_body_budget_reference(mission):
+    assert budget_report(mission).body_sensor_budget == pytest.approx(1.988, abs=1e-12)
 
 
-def test_body_budget_infeasible_remainder():
-    with pytest.raises(InfeasibleError):
-        body_sensor_budget(30, 30, 15.1, 0.2)
+def test_body_budget_floors_at_zero_when_booms_and_instruments_exhaust_it(mission):
+    report = budget_report(dataclasses.replace(mission, instrument_mass=100))
+    assert report.body_sensor_budget == 0.0
+    assert not report.feasible
+    assert report.reasons == (
+        "booms (4.9600 kg) + instruments (100.0000 kg) leave no remainder of the 30.0000 kg overall budget",
+    )
 
 
-def test_body_budget_full_fraction_is_identity():
-    assert body_sensor_budget(30, 4.96, 15.1, 1.0) == pytest.approx(30 - 4.96 - 15.1)
+def test_body_budget_is_its_fraction_of_the_remainder(mission):
+    report = budget_report(dataclasses.replace(mission, body_sensor_fraction=0.5))
+    assert report.body_sensor_budget == pytest.approx(0.5 * (30 - 4.96 - 15.1), abs=1e-12)
 
 
 def test_shoulder_moment_reference_values():
@@ -83,21 +84,21 @@ def test_max_distal_mass_longer_boom():
     assert got == pytest.approx(DISTAL_BUDGET_L20, rel=1e-12)
 
 
-def test_pulloff_reference():
-    ok, margin = pulloff_capacity_check(8, 22.5, 30, 3.71)
-    assert ok
-    assert margin == pytest.approx(68.7)
+def test_pulloff_reference(mission):
+    report = budget_report(mission)
+    assert report.feasible
+    assert (report.pulloff_capacity, report.pulloff_margin) == (180, pytest.approx(68.7))
 
 
-def test_pulloff_single_gripper_infeasible():
-    ok, margin = pulloff_capacity_check(1, 22.5, 30, 3.71)
-    assert not ok
-    assert margin < 0
+def test_pulloff_single_gripper_infeasible(mission):
+    report = budget_report(dataclasses.replace(mission, boom_count=1))
+    assert not report.feasible
+    assert report.pulloff_margin < 0
+    assert report.reasons[0] == "gripper pulloff capacity short by 88.800 N"
 
 
-def test_pulloff_zero_mass_full_margin():
-    ok, margin = pulloff_capacity_check(8, 22.5, 0, 3.71)
-    assert ok and margin == 180
+def test_pulloff_weighs_the_overall_budget_not_the_loadout(mission):
+    assert budget_report(mission, 0.7, 1.9).pulloff_margin == budget_report(mission).pulloff_margin
 
 
 def test_budget_report_feasible_architecture(mission):
@@ -119,6 +120,17 @@ def test_budget_report_zero_masses_feasible(mission):
     assert budget_report(mission).feasible
 
 
+def test_a_tip_budget_gripper_and_boom_exhaust_is_infeasible_with_no_tip_mass(mission):
+    report = budget_report(dataclasses.replace(mission, critical_buckling_moment=0.001))
+    assert report.distal_sensor_budget == 0.0
+    assert report.shoulder_moment == pytest.approx(PAPER_MOMENT_NO_SENSOR)
+    assert not report.feasible
+    assert report.reasons == (
+        "gripper and boom moment 20.7760 N*m exceeds the allowable 0.0008 N*m, "
+        "leaving no distal sensor budget",
+    )
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["distal_sensor_mass_kg", "body_sensor_mass_kg"])
 def test_budget_report_rejects_non_finite_masses(mission, field, value):
@@ -132,6 +144,56 @@ def test_budget_report_rejects_negative_masses(mission, field):
     # a negative mass adds margin, so an overweight loadout would read feasible
     with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0 kg$"):
         budget_report(mission, **{field: -1.0})
+
+
+def _conditions(m: MissionConfig, distal: float, body: float) -> dict[str, tuple[float, float]]:
+    """What a loadout must meet on a mission, from the physics alone, each
+    as (load, limit): the shoulder moment within the margined buckling
+    moment, the body mass within its share of what booms and instruments
+    leave, the weight within the grippers' pull-off, and booms plus
+    instruments under the overall budget."""
+    one_boom = m.boom_length * m.boom_linear_density / 1000
+    fixed = m.boom_count * one_boom + m.instrument_mass
+    return {
+        "tip": ((distal + m.gripper_mass + one_boom / 2) * m.gravity * m.boom_length,
+                m.critical_buckling_moment / (1 + m.buckling_margin)),
+        "body": (body, m.body_sensor_fraction * (m.overall_mass_budget - fixed)),
+        "pulloff": (m.overall_mass_budget * m.gravity, m.boom_count * m.gripper_pulloff),
+        "overall": (fixed, m.overall_mass_budget),
+    }
+
+
+def _mission(rng: random.Random) -> MissionConfig:
+    """A random mission; about a third have each budget exhausted."""
+    return MissionConfig(
+        boom_length=rng.uniform(1, 12), boom_count=rng.randint(4, 12),
+        boom_linear_density=rng.uniform(10, 100), gravity=rng.uniform(1, 10),
+        gripper_mass=rng.uniform(0.05, 1), gripper_pulloff=rng.uniform(10, 60),
+        critical_buckling_moment=rng.uniform(0.001, 10) if rng.random() < 1 / 3 else rng.uniform(10, 400),
+        buckling_margin=rng.uniform(0.01, 0.9), overall_mass_budget=rng.uniform(5, 40),
+        instrument_mass=rng.uniform(0.1, 30), body_sensor_fraction=rng.uniform(0.05, 0.95),
+        tube_depth=30, tube_width=30,
+    )
+
+
+def test_budget_feasibility_matches_the_physics_on_random_missions(mission):
+    rng = random.Random(18)
+    cases = [(dataclasses.replace(mission, critical_buckling_moment=0.001), 0.0, 0.0)]
+    cases += [(_mission(rng), rng.choice([0.0, rng.uniform(0, 2)]), rng.choice([0.0, rng.uniform(0, 5)]))
+              for _ in range(3000)]
+    seen = {"feasible": 0, "tip exhausted": 0, "body exhausted": 0}
+    for m, distal, body in cases:
+        conditions = _conditions(m, distal, body)
+        if any(abs(limit - load) <= 1e-9 * max(abs(limit), abs(load)) for load, limit in conditions.values()):
+            continue  # on an edge, where rounding decides
+        fixed, overall = conditions.pop("overall")
+        feasible = fixed < overall and all(load <= limit for load, limit in conditions.values())
+        assert budget_report(m, distal, body).feasible is feasible, (m, distal, body)
+        unloaded, allowable = _conditions(m, 0.0, 0.0)["tip"]
+        seen["feasible"] += feasible
+        seen["tip exhausted"] += unloaded > allowable
+        seen["body exhausted"] += fixed >= overall
+    assert min(seen.values()) >= 500, seen
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +275,6 @@ def test_distal_budget_monotonicity(margin, gripper, boom, g, length, bump):
 
 def test_dimensional_audit_scaling_gravity_scales_moments(mission):
     base = budget_report(mission, 0.2, 1.0)
-    import dataclasses
     doubled_g = dataclasses.replace(mission, gravity=2 * mission.gravity)
     scaled = budget_report(doubled_g, 0.2, 1.0)
     assert scaled.shoulder_moment == pytest.approx(2 * base.shoulder_moment, rel=1e-12)

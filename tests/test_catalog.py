@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 from collections.abc import Hashable
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -333,6 +333,19 @@ def test_spec_records_built_in_code_check_their_own_rules(build, message):
     with pytest.raises(ValidationError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field", ["darkness_robust", "dust_robust", "implementation_ease"])
+@pytest.mark.parametrize("value", [5, 2, "high", True, 2.0], ids=["5", "2", "high", "True", "2.0"])
+def test_a_grade_built_in_code_must_be_an_ordinal(catalog, field, value):
+    """Checked where the record is built, not when a profile first reads
+    it: an int, a bool or a float is not coerced to a grade."""
+    vlp16 = catalog.get("vlp16")
+    with pytest.raises(ValidationError) as exc:
+        replace(vlp16, **{field: value})
+    assert str(exc.value) == f"vlp16.{field}: must be an Ordinal or None"
+    assert getattr(replace(vlp16, **{field: Ordinal.HIGH}), field) is Ordinal.HIGH
+    assert getattr(replace(vlp16, **{field: None}), field) is None
 
 
 def test_infinite_range_allowed_in_code():

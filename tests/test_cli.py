@@ -54,6 +54,14 @@ def test_evaluate_modality_grid(capsys):
     assert lidar_row.split()[-10:] == grades
 
 
+def test_a_modality_with_no_named_exemplar_is_shown_by_the_sensor_graded(capsys, tmp_path):
+    profile = _mutated(tmp_path, "modality.profile", lambda d: d["exemplars"].pop("radar"))
+    code, out, _ = run(capsys, "evaluate", "--preset", "paper", "--profile", profile, "--format", "csv")
+    assert code == 0
+    assert "radar,XM132,Mid,Mid,Mid,High,High,High,High,Mid,High,Mid\n" in out
+    assert out == run(capsys, "evaluate", "--preset", "paper", "--profile", "modality", "--format", "csv")[1]
+
+
 def test_evaluate_csv_same_numbers(capsys):
     code, table_out, _ = run(capsys, "evaluate", "--preset", "paper", "--profile", "far_field")
     argv = ("evaluate", "--preset", "paper", "--profile", "far_field", "--format")
@@ -93,6 +101,32 @@ def test_budget_infeasible_distal_mass_exits_one(capsys):
     code, out, _ = run(capsys, "budget", "--preset", "paper", "--distal-mass", "0.92")
     assert code == 1
     assert "no" in out  # feasible: no
+
+
+def _paper_mission_with(tmp_path, key, value):
+    return _mutated(tmp_path, "paper_mission.yaml", lambda d: d.__setitem__(key, value))
+
+
+@pytest.mark.parametrize("command", ["budget", "select", "report"])
+def test_instruments_that_exhaust_the_body_budget_make_an_infeasible_analysis(capsys, tmp_path, command):
+    mission = _paper_mission_with(tmp_path, "instrument_mass", 100)
+    code, out, err = run(capsys, command, "--preset", "paper", "--mission", mission)
+    assert (code, err) == (1, "")
+    if command == "budget":
+        assert "infeasible: booms (4.9600 kg) + instruments (100.0000 kg) leave no remainder" in out
+        assert re.search(r"^body_sensor_budget_kg\s+0$", out, re.MULTILINE)
+        assert re.search(r"^feasible\s+no$", out, re.MULTILINE)
+    else:
+        assert "  - body: lightest eligible sensor (0.004 kg) exceeds the 0.000 kg budget\n" in out
+
+
+def test_a_buckling_moment_gripper_and_boom_exhaust_makes_an_infeasible_budget(capsys, tmp_path):
+    mission = _paper_mission_with(tmp_path, "critical_buckling_moment", 0.001)
+    argv = ("budget", "--preset", "paper", "--mission", mission, "--distal-mass", "0", "--body-mass", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert re.search(r"^feasible\s+no$", out, re.MULTILINE)
+    assert "shoulder moment at 0 kg tip mass: 20.776 N*m vs allowable 0.0008 N*m" in out
 
 
 def _paper_files(*names):
@@ -674,6 +708,13 @@ DEFECTS = {
         ],
         "error: modality_overview.exemplars: must be one of: "
         "lidar, camera2d, camera3d, radar, sonar, thermal; got 'bogus'",
+    ),
+    "exemplar-of-another-modality": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "modality.profile", lambda d: d.__setitem__("exemplars", {"lidar": "d435i"})),
+        ],
+        "error: modality_overview.exemplars.lidar: sensor 'd435i' is a camera3d, not a lidar\n",
     ),
     "analysis-tube-body-above-the-ceiling": (
         lambda tmp: [

@@ -1,5 +1,5 @@
-"""Every walkthrough in demos/ runs to completion against the library and
-prints what it printed before, byte for byte.
+"""Every walkthrough in demos/ runs to completion against the library,
+with no warning, and prints what it printed before, byte for byte.
 
 The expected stdout of each demo lives in ``tests/golden/demos.json``.  A
 change that means to alter a demo's output regenerates the file and says
@@ -24,8 +24,9 @@ GOLDEN = Path(__file__).parent / "golden" / "demos.json"
 
 
 def run(demo: Path) -> subprocess.CompletedProcess:
+    """Run a demo with every warning an error, as the tests run."""
     return subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,

@@ -85,13 +85,18 @@ IN_BOUNDS = {
 # modality).  Containers are copied, since a later mutation may edit them.
 SAMPLES = [None, "text", "", True, [], {}, [1, "a"], {"a": 1}, "vlp16", "zed2", "high", "low", "lidar",
            "camera2d", "requirement", 1e-300, 1e308]
+# Integers too large for a float, but within Python's 4300-digit limit.
+HUGE = st.integers(10**399, 10**400 - 1)
 VALUES = st.one_of(
     st.sampled_from(SAMPLES).map(copy.deepcopy),
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(-100, 100),
     st.integers(-3, 100),
-    st.integers(10**399, 10**400 - 1),
+    HUGE,
 )
+# What a number may become: a huge integer as often as anything else, so
+# that some draws put one where a number is read.
+NUMBER_VALUES = st.one_of(HUGE, VALUES)
 # The suffix that marks a key's repeat until the file text is written:
 # ``yaml.safe_dump`` writes a mapping, which cannot hold a key twice.
 REPEAT = "__repeat"
@@ -113,12 +118,17 @@ def _field(data, doc):
         return node, key
 
 
-def _mutate(data, doc) -> None:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _mutate(data, doc) -> bool:
     """Drop one field of ``doc``, misspell its key, repeat it with another
-    value (marked, for ``_argv`` to write), or give it another value."""
+    value (marked, for ``_argv`` to write), or give it another value.
+    True when that put an integer too large for a float in place of a number."""
     field = _field(data, doc)
     if field is None:
-        return
+        return False
     node, key = field
     change = data.draw(st.sampled_from(["drop", "rename", "repeat", "set"]))
     if change == "drop":
@@ -130,7 +140,10 @@ def _mutate(data, doc) -> None:
             node, key = doc, data.draw(st.sampled_from(sorted(doc, key=str)))
         node[f"{key}{REPEAT}"] = data.draw(VALUES)
     else:
-        node[key] = data.draw(VALUES)
+        was_number = _is_number(node[key])
+        node[key] = data.draw(NUMBER_VALUES if was_number else VALUES)
+        return was_number and _is_number(node[key]) and node[key] >= 10**399
+    return False
 
 
 def _nudge(data, doc) -> None:
@@ -157,15 +170,21 @@ def _shuffled(node, rnd):
     return node
 
 
-def _argv(data, workdir: Path) -> list[str]:
+def _argv(data, workdir: Path) -> tuple[list[str], bool]:
+    """A command line, and whether a mutation put an integer too large for
+    a float in place of a number of the file it names."""
     command = data.draw(st.sampled_from(sorted(FILE_FLAGS)))
     argv = [command, "--preset", "paper"]
     files = FILE_FLAGS[command]
     fixture = data.draw(st.sampled_from(sorted(files)))
     doc = yaml.safe_load(bundled_path(fixture).read_text(encoding="utf-8"))
     in_bounds = data.draw(st.booleans())
+    huge = False
     for _ in range(data.draw(st.integers(1, 3))):
-        (_nudge if in_bounds else _mutate)(data, doc)
+        if in_bounds:
+            _nudge(data, doc)
+        else:
+            huge = _mutate(data, doc) or huge
     path = workdir / fixture
     rnd = data.draw(st.randoms(use_true_random=False))
     text = yaml.safe_dump(_shuffled(doc, rnd), sort_keys=False)
@@ -185,7 +204,7 @@ def _argv(data, workdir: Path) -> list[str]:
             criterion = data.draw(st.sampled_from(["affordability", "dust", "range", "beauty"]))
             lo, hi = (data.draw(st.sampled_from(["-2", "0", "3", "x", "5000"])) for _ in range(2))
         argv += ["--sweep", criterion, lo, hi]
-    return argv
+    return argv, huge
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -234,27 +253,36 @@ def _csv_tables(text: str, sizes: list[int]) -> tuple[list, list[str]]:
     return tables, other
 
 
-@settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(st.data())
-def test_every_command_honours_the_exit_code_contract(data):
+def test_every_command_honours_the_exit_code_contract():
     """Each command also runs in every format: only the layout may
-    change with the format, never the exit code."""
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = _argv(data, Path(tmp))
-        results = {fmt: _run([*argv, "--format", fmt]) for fmt in FORMATS}
-    codes = {code for code, _, _ in results.values()}
-    assert len(codes) == 1, (argv, results)
-    code = codes.pop()
-    assert code in (0, 1, 2), argv
-    if code == 2:
-        assert all("error:" in err for _, err, _ in results.values()), argv
-    else:
-        md_tables, md_other = _md_tables(results["md"][2])
-        sizes = [len(rows) for _, rows in md_tables]
-        assert _csv_tables(results["csv"][2], sizes) == (md_tables, md_other), argv
+    change with the format, never the exit code.  At least one draw puts
+    a huge integer in place of a number and is told it is not finite."""
+    huge_errors = []
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def check(data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv, huge = _argv(data, Path(tmp))
+            results = {fmt: _run([*argv, "--format", fmt]) for fmt in FORMATS}
+        codes = {code for code, _, _ in results.values()}
+        assert len(codes) == 1, (argv, results)
+        code = codes.pop()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert all("error:" in err for _, err, _ in results.values()), argv
+            if huge:
+                huge_errors.append(results["table"][1])
+        else:
+            md_tables, md_other = _md_tables(results["md"][2])
+            sizes = [len(rows) for _, rows in md_tables]
+            assert _csv_tables(results["csv"][2], sizes) == (md_tables, md_other), argv
+
+    check()
+    assert any("must be finite" in err for err in huge_errors), huge_errors

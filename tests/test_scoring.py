@@ -196,13 +196,14 @@ TABLE_WORDS = {
 def test_modality_grid_reproduces_overview(catalog, modality_profile):
     table = modality_table(catalog, modality_profile)
     assert list(table) == [Modality.LIDAR, Modality.CAMERA2D, Modality.CAMERA3D, Modality.RADAR]
+    assert [exemplar.id for exemplar, _ in table.values()] == ["vlp16", "firefly_s", "d435i", "xm132"]
     for modality, expected in TABLE_WORDS.items():
-        got = [table[modality][c].word for c in [c.name for c in modality_profile.criteria]]
+        got = [table[modality][1][c].word for c in [c.name for c in modality_profile.criteria]]
         assert got == expected, modality
 
 
 def test_modality_radar_row_highlights(catalog, modality_profile):
-    row = modality_table(catalog, modality_profile)[Modality.RADAR]
+    _, row = modality_table(catalog, modality_profile)[Modality.RADAR]
     for name in (CriterionName.RANGE, CriterionName.POWER, CriterionName.DARKNESS,
                  CriterionName.DUST, CriterionName.LIGHTNESS):
         assert row[name] is Ordinal.HIGH
@@ -213,7 +214,22 @@ def test_modality_without_exemplar_errors(catalog, modality_profile):
     without_d435i = Catalog(tuple(s for s in catalog if s.id != "d435i"))
     with pytest.raises(ValidationError) as exc:
         modality_table(without_d435i, modality_profile)
-    assert str(exc.value) == "camera3d.exemplar: sensor 'd435i' not in catalog"
+    assert str(exc.value) == "modality_overview.exemplars.camera3d: sensor 'd435i' not in catalog"
+
+
+def test_a_modality_without_a_named_exemplar_is_graded_on_its_first_sensor(catalog, modality_profile):
+    exemplars = {m: sid for m, sid in modality_profile.exemplars.items() if m is not Modality.RADAR}
+    table = modality_table(catalog, replace(modality_profile, exemplars=exemplars))
+    first_radar = next(s for s in catalog if s.modality is Modality.RADAR)
+    assert table[Modality.RADAR] == modality_table(catalog, modality_profile)[Modality.RADAR]
+    assert table[Modality.RADAR][0] is first_radar
+
+
+def test_an_exemplar_of_another_modality_is_rejected(catalog, modality_profile):
+    profile = replace(modality_profile, exemplars={**modality_profile.exemplars, Modality.LIDAR: "d435i"})
+    with pytest.raises(ValidationError) as exc:
+        modality_table(catalog, profile)
+    assert str(exc.value) == "modality_overview.exemplars.lidar: sensor 'd435i' is a camera3d, not a lidar"
 
 
 def test_single_modality_catalog_one_row(catalog, modality_profile):
