@@ -53,11 +53,11 @@ print()
 # floor, both walls and ceiling; an untilted one misses the ceiling.
 slice_tube = TubeSection(depth=30, width=30)
 dual = [Mount(vlp16, 45, True), Mount(vlp16, -45, True)]
-print(coverage_table(section_coverage(dual, slice_tube, mission.boom_length), "table",
+print(coverage_table(section_coverage(dual, slice_tube), "table",
                      title="dual pucks at +/-45 deg, spinning"))
 print()
 single = [Mount(vlp16, 0, True)]
-print(coverage_table(section_coverage(single, slice_tube, mission.boom_length), "table",
+print(coverage_table(section_coverage(single, slice_tube), "table",
                      title="single untilted puck"))
 print()
 

@@ -143,11 +143,12 @@ def _coverage(
         )
     if not spec.body_mounts:
         raise ValidationError("mounts", "body_mounts", "coverage needs at least one body mount")
-    return tube, section_coverage(list(spec.body_mounts), tube, mission.boom_length)
+    return tube, section_coverage(list(spec.body_mounts), tube)
 
 
 def _selection(
-    catalog: Catalog, mission: MissionConfig, rules: list[PlacementRule], fmt: str, budgets: bool = False
+    args: argparse.Namespace, catalog: Catalog, mission: MissionConfig, rules: list[PlacementRule],
+    budgets: bool = False,
 ) -> tuple[SuiteSolution | None, str]:
     """The best suite under ``rules`` and its section, headed in the table
     format by its use of each budget when ``budgets``, or None and a
@@ -158,10 +159,10 @@ def _selection(
     try:
         suite = select_best(catalog, rules, mission)
     except NoFeasibleSuiteError as exc:
-        return None, _no_suite(exc)
-    before = [("body budget: {} of {} kg; distal budget: {} of {} kg",
-               suite.body_mass, rules[0].mass_budget, suite.distal_mass, rules[1].mass_budget)]
-    return suite, selection_lines(suite, fmt, title="Selected Suite", before=before if budgets else ())
+        return None, _no_suite(exc, args, mission)
+    used = [("body budget: {} of {} kg; distal budget: {} of {} kg",
+             suite.body_mass, rules[0].mass_budget, suite.distal_mass, rules[1].mass_budget)]
+    return suite, selection_lines(suite, args.format, title="Selected Suite", before=used if budgets else ())
 
 
 def _rules(
@@ -176,8 +177,19 @@ def _rules(
     )
 
 
-def _no_suite(exc: NoFeasibleSuiteError) -> str:
-    return "\n".join(["no feasible suite:", *(f"  - {reason}" for reason in exc.reasons)])
+def _no_suite(exc: NoFeasibleSuiteError, args: argparse.Namespace, mission: MissionConfig) -> str:
+    """The selector's reasons, then the ``budget_report`` reason for each
+    mission budget it floored at 0 that no budget flag replaces."""
+    from .budget import budget_report
+
+    reasons = list(exc.reasons)
+    envelope = budget_report(mission)
+    # the reasons that floor the body and the tip budget, known by their words
+    floors = {"leave no remainder": args.body_budget, "no distal sensor budget": args.distal_budget}
+    for marker, given in floors.items():
+        if given is None:
+            reasons += [reason for reason in envelope.reasons if marker in reason]
+    return "\n".join(["no feasible suite:", *(f"  - {reason}" for reason in reasons)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +225,10 @@ def cmd_budget(args: argparse.Namespace) -> tuple[int, str]:
     return (EXIT_OK if report.feasible else EXIT_INFEASIBLE), section
 
 
-def _mount_lines(spec: MountSpec, tube: TubeSection, report: CoverageReport) -> Iterator[tuple]:
+def _mount_lines(spec: MountSpec, tube: TubeSection, mission: MissionConfig) -> Iterator[tuple]:
     """Each body mount's effective view and the slice analysed, as prose.
     Generated, as is ``_plan_lines``, so that only the format printing it computes it."""
-    from .geometry import effective_vertical_fov
+    from .geometry import effective_vertical_fov, near_field_threshold
 
     for mount in spec.body_mounts:
         fov = mount.sensor.fov
@@ -228,7 +240,7 @@ def _mount_lines(spec: MountSpec, tube: TubeSection, report: CoverageReport) -> 
         kind = "spinning" if mount.spinning else "static"
         yield "{} at {} deg ({}): effective vertical FOV {} deg", mount.sensor.id, mount.tilt_deg, kind, eff
     yield ("analysis slice: {} m deep x {} m wide; near-field boundary {} m",
-           tube.depth, tube.width, report.near_field_max)
+           tube.depth, tube.width, near_field_threshold(mission.boom_length))
 
 
 def _plan_lines(spec: MountSpec, mission: MissionConfig) -> Iterator[tuple]:
@@ -252,7 +264,7 @@ def cmd_coverage(args: argparse.Namespace) -> tuple[int, str]:
     tube, report = _coverage(spec, mission, args.tube_depth, args.tube_width)
     section = coverage_table(
         report, args.format, title="Cross-Section Coverage",
-        before=_mount_lines(spec, tube, report), after=_plan_lines(spec, mission),
+        before=_mount_lines(spec, tube, mission), after=_plan_lines(spec, mission),
     )
     not_visible = [s for s, cov in report.surfaces.items() if not cov.visible]
     if not_visible:
@@ -274,12 +286,12 @@ def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
         try:
             rows = sensitivity_report(catalog, rules, mission, criterion, weights)
         except NoFeasibleSuiteError as exc:
-            return EXIT_INFEASIBLE, _no_suite(exc)
+            return EXIT_INFEASIBLE, _no_suite(exc, args, mission)
         return EXIT_OK, sensitivity_table(
             rows, criterion, args.format, title=f"Sensitivity: {criterion.value} weight"
         )
 
-    suite, section = _selection(catalog, mission, rules, args.format, budgets=True)
+    suite, section = _selection(args, catalog, mission, rules, budgets=True)
     return (EXIT_OK if suite is not None else EXIT_INFEASIBLE), section
 
 
@@ -309,7 +321,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     if (args.near_profile or "near_field") != "near_field":
         near_profile = _load_profile(args.near_profile, catalog)
     rules = _rules(args, mission, far_profile, near_profile)
-    suite, section = _selection(catalog, mission, rules, args.format)
+    suite, section = _selection(args, catalog, mission, rules)
     sections.append(section)
 
     feasible = budget.feasible and coverage.all_visible and suite is not None

@@ -149,10 +149,8 @@ class SurfaceCoverage:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Each surface's coverage by name (floor, ceiling, right_wall,
-    left_wall), and the near-field boundary: a third of the boom length, m."""
+    """Each surface's coverage by name: floor, ceiling, right_wall, left_wall."""
 
-    near_field_max: float
     surfaces: dict[str, SurfaceCoverage]
 
     @property
@@ -299,9 +297,7 @@ def _nearest_offset(arc: tuple[float, float], normal: float, lo: float, hi: floa
     return best
 
 
-def section_coverage(
-    mounts: list[Mount], tube: TubeSection, boom_length_m: float
-) -> CoverageReport:
+def section_coverage(mounts: list[Mount], tube: TubeSection) -> CoverageReport:
     """Which surfaces of the cross-section the mounted sensors can see.
 
     A surface is visible when some mount's covered directions meet the
@@ -337,7 +333,7 @@ def section_coverage(
             min_slant_m=min(slants, default=None),
             seen_by=tuple(dict.fromkeys(seen_by)),
         )
-    return CoverageReport(near_field_max=near_field_threshold(boom_length_m), surfaces=results)
+    return CoverageReport(surfaces=results)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +354,12 @@ def stage_plan(
             raise ValueError(f"{s.id}: stage planning needs range_min and range_max")
     threshold = near_field_threshold(boom_length_m)
     far_start = max(far_sensor.range_min, threshold)
-    far_ok = far_anchor_usable(far_sensor, boom_length_m)
-    near_reaches_in = near_sensor.range_min < threshold
-    near_ok = near_reaches_in and near_sensor.range_max >= threshold
+    usable = far_anchor_usable(far_sensor, boom_length_m) and near_anchor_usable(near_sensor, boom_length_m)
     overlap = near_sensor.range_max - far_start
-    blind_band = max(0.0, threshold - near_sensor.range_max) if near_reaches_in else threshold
-    valid = far_ok and near_ok and overlap > 0
-    marginal = not valid and far_ok and near_reaches_in and blind_band > 0
+    reaches_in = near_sensor.range_min < threshold
+    blind_band = max(0.0, threshold - near_sensor.range_max) if reaches_in else threshold
+    valid = usable and overlap > 0
+    marginal = usable and not valid
     return StagePlan(
         far_sensor_id=far_sensor.id,
         near_sensor_id=near_sensor.id,

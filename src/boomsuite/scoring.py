@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 from .catalog import (
     Catalog, Modality, Ordinal, PixelGrid, SensorRecord,
-    _Table, _boolean, _enum, _list, _mapping, _modality, _number, _read, _read_yaml, _record, _text,
+    _Table, _boolean, _enum, _integer, _list, _mapping, _modality, _number, _read, _read_yaml, _record, _text,
 )
 from .errors import ScoringError, ValidationError
 
@@ -228,21 +228,15 @@ def gate_requirements(profile: ScoringProfile) -> tuple[CriterionName, ...]:
     return tuple(c.name for c in profile.criteria if c.kind.gates)
 
 
-def score_matrix(
-    catalog: Catalog,
-    profile: ScoringProfile,
-    overrides: Mapping[str, Mapping[CriterionName, int]] | None = None,
-) -> DecisionMatrix:
+def score_matrix(catalog: Catalog, profile: ScoringProfile) -> DecisionMatrix:
     """Score and gate every sensor in ``catalog`` against ``profile``.
 
-    Overrides (explicit argument first, then the profile's own table)
-    take precedence over binned values; cells that remain unresolved
-    raise ScoringError listing the sensor/criterion pairs.  A score of 0
-    on any gating criterion fails the sensor's gate; its scores and rank
-    are kept.
+    The profile's override cells take precedence over binned values;
+    cells that remain unresolved raise ScoringError listing the
+    sensor/criterion pairs.  A score of 0 on any gating criterion fails
+    the sensor's gate; its scores and rank are kept.
     """
     gating = gate_requirements(profile)
-    extra = overrides or {}
     unresolved: list[tuple[str, str]] = []
     scores: dict[str, dict[CriterionName, int]] = {}
     sums: dict[str, int] = {}
@@ -250,16 +244,12 @@ def score_matrix(
     for sensor in catalog:
         row: dict[CriterionName, int] = {}
         for criterion in profile.criteria:
-            value = extra.get(sensor.id, {}).get(criterion.name)
-            if value is None:
-                value = profile.override_for(sensor.id, criterion.name)
+            value = profile.override_for(sensor.id, criterion.name)
             if value is None:
                 value = criterion.bins.apply(sensor)
             if value is None:
                 unresolved.append((sensor.id, criterion.name.value))
                 continue
-            if value not in (0, 1, 2):
-                raise ValidationError(sensor.id, criterion.name.value, "override must be 0, 1 or 2")
             row[criterion.name] = value
         scores[sensor.id] = row
         sums[sensor.id] = sum(row[c.name] * c.weight for c in profile.criteria if c.name in row)
@@ -342,7 +332,7 @@ _criterion_name = _enum(CriterionName)
 _CRITERION = _Table({
     "name": _criterion_name,
     "kind": _enum(CriterionKind),
-    "weight": lambda value, subject, field_name: value,  # Criterion checks it
+    "weight": _integer,  # Criterion checks that it is not negative
     "bin": _record(BinRule, _Table({
         "quantity": _text, "higher_is_better": _boolean, "high": _number, "high_inclusive": _boolean,
         "low": _number, "low_inclusive": _boolean, "ordinal_field": _text,

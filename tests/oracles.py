@@ -214,3 +214,9 @@ def only(catalog: Catalog, ids) -> Catalog:
 def weights_times(profile: ScoringProfile, k: int) -> ScoringProfile:
     """``profile`` with every criterion's weight multiplied by ``k``."""
     return replace(profile, criteria=tuple(replace(c, weight=c.weight * k) for c in profile.criteria))
+
+
+def with_override(profile: ScoringProfile, sensor_id: str, name: CriterionName, value: int) -> ScoringProfile:
+    """``profile`` with one override cell set, over any the profile has for it."""
+    cells = {**profile.overrides.get(sensor_id, {}), name: value}
+    return replace(profile, overrides={**profile.overrides, sensor_id: cells})

@@ -120,6 +120,38 @@ def test_instruments_that_exhaust_the_body_budget_make_an_infeasible_analysis(ca
         assert "  - body: lightest eligible sensor (0.004 kg) exceeds the 0.000 kg budget\n" in out
 
 
+ENVELOPE_REASONS = {
+    "instrument_mass": (100, "booms (4.9600 kg) + instruments (100.0000 kg) leave no remainder"
+                             " of the 30.0000 kg overall budget"),
+    "critical_buckling_moment": (0.001, "gripper and boom moment 20.7760 N*m exceeds the allowable"
+                                        " 0.0008 N*m, leaving no distal sensor budget"),
+}
+
+
+@pytest.mark.parametrize("command", ["select", "report"])
+@pytest.mark.parametrize("key", sorted(ENVELOPE_REASONS))
+def test_no_feasible_suite_names_what_exhausted_the_mission_budget(capsys, tmp_path, command, key):
+    value, reason = ENVELOPE_REASONS[key]
+    mission = _paper_mission_with(tmp_path, key, value)
+    code, out, err = run(capsys, command, "--preset", "paper", "--mission", mission)
+    assert (code, err) == (1, "")
+    selection = out[out.index("no feasible suite:\n"):]
+    # after the selector's own lines, and the last line printed
+    assert selection.endswith(f"\n  - {reason}\n")
+    assert selection.count("\n  - ") >= 2
+
+
+@pytest.mark.parametrize("flag", ["--body-budget", "--distal-budget"])
+def test_a_budget_flag_leaves_out_the_envelope_reason_it_replaces(capsys, tmp_path, flag):
+    key = "instrument_mass" if flag == "--body-budget" else "critical_buckling_moment"
+    value, reason = ENVELOPE_REASONS[key]
+    mission = _paper_mission_with(tmp_path, key, value)
+    code, out, err = run(capsys, "select", "--preset", "paper", "--mission", mission, flag, "0.001")
+    assert (code, err) == (1, "")
+    assert "no feasible suite:\n" in out
+    assert reason not in out
+
+
 def test_a_buckling_moment_gripper_and_boom_exhaust_makes_an_infeasible_budget(capsys, tmp_path):
     mission = _paper_mission_with(tmp_path, "critical_buckling_moment", 0.001)
     argv = ("budget", "--preset", "paper", "--mission", mission, "--distal-mass", "0", "--body-mass", "0")
@@ -634,6 +666,20 @@ DEFECTS = {
                      lambda d: d["body_mounts"][0].__setitem__("spinning", "false")),
         ],
         "error: mounts.body_mounts.spinning: expected true or false, got 'false'",
+    ),
+    "weight-too-large-for-a-float": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][0].__setitem__("weight", 10**399)),
+        ],
+        "error: resolution.weight: must be finite",
+    ),
+    "fractional-weight": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--profile",
+            _mutated(tmp, "far_field.profile", lambda d: d["criteria"][0].__setitem__("weight", 2.5)),
+        ],
+        "error: resolution.weight: expected an integer, got 2.5",
     ),
     "higher-is-better-is-a-string": (
         lambda tmp: [

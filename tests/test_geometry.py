@@ -171,7 +171,7 @@ def _vlp_like(range_max=100.0):
 def test_dual_tilted_spinning_units_see_every_surface():
     tube = TubeSection(depth=30, width=30)
     mounts = [Mount(_vlp_like(), 45, True), Mount(_vlp_like(), -45, True)]
-    report = section_coverage(mounts, tube, 10)
+    report = section_coverage(mounts, tube)
     assert report.all_visible
     # nearest ceiling sighting is at the 60 deg coverage edge: 15/sin(60)
     assert report.surfaces["ceiling"].min_slant_m == pytest.approx(15 / math.sin(math.radians(60)))
@@ -180,7 +180,7 @@ def test_dual_tilted_spinning_units_see_every_surface():
 
 def test_untilted_unit_cannot_see_the_ceiling():
     tube = TubeSection(depth=30, width=30)
-    report = section_coverage([Mount(_vlp_like(), 0, True)], tube, 10)
+    report = section_coverage([Mount(_vlp_like(), 0, True)], tube)
     assert not report.surfaces["ceiling"].visible
     assert not report.surfaces["ceiling"].beyond_range  # never covered at all
     assert report.surfaces["right_wall"].visible
@@ -189,7 +189,7 @@ def test_untilted_unit_cannot_see_the_ceiling():
 def test_wide_tube_walls_flagged_beyond_range():
     tube = TubeSection(depth=30, width=300)
     mounts = [Mount(_vlp_like(range_max=100.0), 45, True), Mount(_vlp_like(range_max=100.0), -45, True)]
-    report = section_coverage(mounts, tube, 10)
+    report = section_coverage(mounts, tube)
     assert report.surfaces["floor"].visible and report.surfaces["ceiling"].visible
     for wall in ("right_wall", "left_wall"):
         assert not report.surfaces[wall].visible
@@ -211,7 +211,7 @@ def test_a_surface_exactly_at_range_reads_visible():
         tube = TubeSection(depth=rng.choice([40, 50]), width=width)
         for range_max, visible in ((width, True), (width * (1 - 1e-9), False)):
             sensor = _sensor(fov=FieldOfView(horizontal_deg=360, vertical_deg=2 * half), range_max=range_max)
-            wall = section_coverage([Mount(sensor, tilt)], tube, 10).surfaces["left_wall"]
+            wall = section_coverage([Mount(sensor, tilt)], tube).surfaces["left_wall"]
             assert wall.visible is visible, (tube, tilt, 2 * half, range_max, wall.min_slant_m)
             assert wall.min_slant_m == pytest.approx(width, rel=1e-14)
 
@@ -230,7 +230,7 @@ def test_full_sphere_sensor_sees_everything(depth, width, hfrac, ofrac):
         range_max=math.inf,
     )
     tube = TubeSection(depth=depth, width=width, body_height=depth * hfrac, body_offset=width * ofrac)
-    report = section_coverage([Mount(sensor, 0, True)], tube, 10)
+    report = section_coverage([Mount(sensor, 0, True)], tube)
     assert report.all_visible
 
 
@@ -261,7 +261,7 @@ def test_coverage_interval_union_agrees_with_sampling_oracle():
             )
             for _ in range(rng.randint(1, 3))
         ]
-        report = section_coverage(mounts, tube, 10)
+        report = section_coverage(mounts, tube)
         oracle = coverage_by_sampling(mounts, tube)
         x0, y0 = tube.body_point
         normal_distance = {

@@ -18,7 +18,7 @@ from boomsuite.scoring import (
     score_matrix,
 )
 
-from oracles import only, random_catalog, random_profile, weights_times
+from oracles import only, random_catalog, random_profile, weights_times, with_override
 
 FAR_SUMS = {"rsbpearl": 23, "vlp16": 26, "cygbot_mini": 20, "iphone12": 23, "os1_32": 26}
 NEAR_SUMS = {"firefly_s": 14, "d435i": 24, "d455i": 20, "zed2": 23, "oak_d": 18}
@@ -130,9 +130,9 @@ def test_unresolved_absent_cells_error(catalog, far_profile):
     assert ("firefly_s", "accuracy") in exc.value.pairs
 
 
-def test_explicit_override_argument_wins(catalog, far_profile):
+def test_an_override_cell_wins_over_the_bin(catalog, far_profile):
     pool = catalog.subset(modalities=far_profile.modalities)
-    bumped = score_matrix(pool, far_profile, overrides={"vlp16": {CriterionName.RANGE: 0}})
+    bumped = score_matrix(pool, with_override(far_profile, "vlp16", CriterionName.RANGE, 0))
     assert bumped.score("vlp16", CriterionName.RANGE) == 0
     assert bumped.weighted_sums["vlp16"] == FAR_SUMS["vlp16"] - 2 * 2
 
@@ -254,7 +254,7 @@ def test_monotonicity_bumping_a_score_raises_the_sum(seed, size):
     current = base.score(target, name)
     if current == 2:
         return
-    bumped = score_matrix(cat, profile, overrides={target: {name: current + 1}})
+    bumped = score_matrix(cat, with_override(profile, target, name, current + 1))
     assert bumped.weighted_sums[target] > base.weighted_sums[target]
 
 
