@@ -53,5 +53,4 @@ print()
 # How sensitive is the pick to the affordability weight?  At weight 0 the
 # pricier unit wins outright; by weight 2 the owned unit is back on top.
 rows = sensitivity_report(catalog, single, mission, CriterionName.AFFORDABILITY, [0, 1, 2, 3, 4])
-print(sensitivity_table(rows, CriterionName.AFFORDABILITY, "table",
-                        title="affordability weight sweep"))
+print(sensitivity_table(rows, "table", title="affordability weight sweep"))

@@ -97,6 +97,15 @@ def max_distal_sensor_mass(
     return max(0.0, m_sensor)
 
 
+def _exceeds(what: str, value: float, limit_name: str, limit: float, unit: str) -> str:
+    """A reason that ``value`` exceeds ``limit``, both printed to the fewest
+    decimals, at least 4, at which they differ."""
+    digits = 4
+    while f"{value:.{digits}f}" == f"{limit:.{digits}f}" and value != limit:
+        digits += 1
+    return f"{what} {value:.{digits}f} {unit} exceeds {limit_name} {limit:.{digits}f} {unit}"
+
+
 def budget_report(
     mission: MissionConfig,
     distal_sensor_mass_kg: float = 0.0,
@@ -133,25 +142,17 @@ def budget_report(
     if weight > capacity:
         reasons.append(f"gripper pulloff capacity short by {weight - capacity:.3f} N")
     if unloaded > allowable:
-        reasons.append(
-            f"gripper and boom moment {unloaded:.4f} N*m exceeds the allowable "
-            f"{allowable:.4f} N*m, leaving no distal sensor budget"
-        )
+        moment = _exceeds("gripper and boom moment", unloaded, "the allowable", allowable, "N*m")
+        reasons.append(f"{moment}, leaving no distal sensor budget")
     if distal_margin < 0:
-        reasons.append(
-            f"distal sensor mass {distal_sensor_mass_kg:.4f} kg exceeds "
-            f"budget {distal_budget:.4f} kg"
-        )
+        reasons.append(_exceeds("distal sensor mass", distal_sensor_mass_kg, "budget", distal_budget, "kg"))
     if remainder <= 0:
         reasons.append(
             f"booms ({total_booms:.4f} kg) + instruments ({mission.instrument_mass:.4f} kg) "
             f"leave no remainder of the {mission.overall_mass_budget:.4f} kg overall budget"
         )
     if body_margin < 0:
-        reasons.append(
-            f"body sensor mass {body_sensor_mass_kg:.4f} kg exceeds "
-            f"budget {body_budget:.4f} kg"
-        )
+        reasons.append(_exceeds("body sensor mass", body_sensor_mass_kg, "budget", body_budget, "kg"))
     return BudgetReport(
         boom_mass=one_boom,
         total_boom_mass=total_booms,

@@ -208,11 +208,15 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_budget(args: argparse.Namespace) -> tuple[int, str]:
     from .budget import budget_report
+    from .catalog import load_catalog, load_mission
     from .reporting import budget_summary_lines, budget_table
 
-    catalog, mission = _load_inputs(args)
     body_mass, distal_mass = args.body_mass, args.distal_mass
-    if (body_mass is None or distal_mass is None) and (args.mounts or args.preset == "paper"):
+    reads_mounts = (body_mass is None or distal_mass is None) and (args.mounts or args.preset == "paper")
+    # only the mounts file needs the catalog; one that is given is read anyway, so a bad file exits 2
+    catalog = load_catalog(_input(args, "catalog")) if reads_mounts or args.catalog else None
+    mission = load_mission(_input(args, "mission"))
+    if reads_mounts:
         from .mounts import load_mounts
 
         spec = load_mounts(_input(args, "mounts"), catalog)
@@ -287,9 +291,7 @@ def cmd_select(args: argparse.Namespace) -> tuple[int, str]:
             rows = sensitivity_report(catalog, rules, mission, criterion, weights)
         except NoFeasibleSuiteError as exc:
             return EXIT_INFEASIBLE, _no_suite(exc, args, mission)
-        return EXIT_OK, sensitivity_table(
-            rows, criterion, args.format, title=f"Sensitivity: {criterion.value} weight"
-        )
+        return EXIT_OK, sensitivity_table(rows, args.format, title=f"Sensitivity: {criterion.value} weight")
 
     suite, section = _selection(args, catalog, mission, rules, budgets=True)
     return (EXIT_OK if suite is not None else EXIT_INFEASIBLE), section

@@ -66,7 +66,7 @@ def fmt_num(value: float | int) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     text = f"{value:.4f}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
+    return "0" if text == "-0" else text  # a negative value that rounds to zero
 
 
 def _cell(value: Cell) -> str:
@@ -250,9 +250,7 @@ def selection_lines(
     return render_table(["field", "value"], rows, fmt, title=title, before=before)
 
 
-def sensitivity_table(
-    rows: list[SensitivityRow], criterion: CriterionName, fmt: str, title: str | None = None
-) -> str:
+def sensitivity_table(rows: list[SensitivityRow], fmt: str, title: str | None = None) -> str:
     headers = ["Weight", "Body", "Distal", "Score", "Changed", "Notes"]
     table_rows = [
         [row.weight, ",".join(row.body_sensors) or None, ",".join(row.distal_sensors) or None,

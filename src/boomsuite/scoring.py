@@ -81,11 +81,12 @@ class BinRule:
     """Maps one raw quantity to an ordinal score.
 
     Numeric form: scores 2 in the high region, 0 in the low region and 1
-    everywhere between.  For ``higher_is_better`` rules the high region is
-    above ``high`` and the low region below ``low``; directions flip for
-    lower-is-better.  ``*_inclusive`` controls whether the cutoff itself
-    belongs to its region.  Either cutoff may be omitted, leaving that
-    region empty.
+    everywhere between.  The high region is above ``high`` and the low
+    region below ``low``; a lower-is-better rule is the higher-is-better
+    rule applied to the negated quantity and the negated cutoffs, so its
+    high region lies below ``high`` and its low region above ``low``.
+    ``*_inclusive`` controls whether the cutoff itself belongs to its
+    region.  Either cutoff may be omitted, leaving that region empty.
 
     Passthrough form (``ordinal_field`` set): copies an already-ordinal
     sensor field.
@@ -125,16 +126,13 @@ class BinRule:
         x = _QUANTITIES[self.quantity](sensor)  # type: ignore[index]
         if x is None:
             return None
-        if self.higher_is_better:
-            if self.high is not None and (x >= self.high if self.high_inclusive else x > self.high):
-                return 2
-            if self.low is not None and (x <= self.low if self.low_inclusive else x < self.low):
-                return 0
-        else:
-            if self.high is not None and (x <= self.high if self.high_inclusive else x < self.high):
-                return 2
-            if self.low is not None and (x >= self.low if self.low_inclusive else x > self.low):
-                return 0
+        high, low = self.high, self.low
+        if not self.higher_is_better:  # negation is exact, so this is the same rule
+            x, high, low = -x, None if high is None else -high, None if low is None else -low
+        if high is not None and (x >= high if self.high_inclusive else x > high):
+            return 2
+        if low is not None and (x <= low if self.low_inclusive else x < low):
+            return 0
         return 1
 
 
@@ -236,26 +234,21 @@ def score_matrix(catalog: Catalog, profile: ScoringProfile) -> DecisionMatrix:
     sensor/criterion pairs.  A score of 0 on any gating criterion fails
     the sensor's gate; its scores and rank are kept.
     """
-    gating = gate_requirements(profile)
-    unresolved: list[tuple[str, str]] = []
     scores: dict[str, dict[CriterionName, int]] = {}
-    sums: dict[str, int] = {}
-    failing: dict[str, tuple[CriterionName, ...]] = {}
     for sensor in catalog:
-        row: dict[CriterionName, int] = {}
+        row = scores[sensor.id] = {}
         for criterion in profile.criteria:
             value = profile.override_for(sensor.id, criterion.name)
-            if value is None:
-                value = criterion.bins.apply(sensor)
-            if value is None:
-                unresolved.append((sensor.id, criterion.name.value))
-                continue
-            row[criterion.name] = value
-        scores[sensor.id] = row
-        sums[sensor.id] = sum(row[c.name] * c.weight for c in profile.criteria if c.name in row)
-        failing[sensor.id] = tuple(name for name in gating if row.get(name) == 0)
+            row[criterion.name] = criterion.bins.apply(sensor) if value is None else value
+    unresolved = [
+        (sid, name.value) for sid, row in scores.items() for name, cell in row.items() if cell is None
+    ]
     if unresolved:
         raise ScoringError(unresolved)
+
+    gating = gate_requirements(profile)
+    sums = {sid: sum(row[c.name] * c.weight for c in profile.criteria) for sid, row in scores.items()}
+    failing = {sid: tuple(name for name in gating if row[name] == 0) for sid, row in scores.items()}
 
     ids = catalog.ids()
     return DecisionMatrix(

@@ -64,7 +64,8 @@ class PlacementRule:
     """Constraints for one placement slot.
 
     ``modalities`` restricts which sensor families may occupy the slot
-    (None admits the profile's own modality list, or everything).
+    (None admits every sensor; the profile's own list scopes only its
+    decision matrix).
     ``min_dust_robust_modalities`` > 0 demands that many distinct
     modalities with a non-zero dust score among the chosen sensors —
     the redundancy constraint for dusty conditions.
@@ -148,8 +149,7 @@ class _Slot:
 
 
 def _build_slot(catalog: Catalog, rule: PlacementRule) -> _Slot:
-    modalities = rule.modalities if rule.modalities is not None else rule.profile.modalities
-    pool = catalog.subset(modalities=modalities)
+    pool = catalog.subset(modalities=rule.modalities)
     matrix = score_matrix(pool, rule.profile)
     eligible = tuple(s for s in pool if not matrix.failing[s.id])
     return _Slot(rule=rule, matrix=matrix, eligible=eligible)
@@ -396,13 +396,12 @@ def sensitivity_report(
 ) -> list[SensitivityRow]:
     """Re-run selection for each weight of one criterion (applied to every
     placement profile) and record where the argmax changes.  Each weight
-    is evaluated from scratch; nothing is cached across steps."""
+    is evaluated from scratch; nothing is cached across steps.  A negative
+    weight raises ``Criterion``'s ValidationError, naming the criterion."""
     pair = _rule_pair(rules)
     rows: list[SensitivityRow] = []
     previous: tuple[tuple[str, ...], tuple[str, ...]] | None = None
     for weight in weights:
-        if weight < 0:
-            raise ValueError("criterion weights must be non-negative integers")
         adjusted = [replace(r, profile=r.profile.with_weight(criterion, weight)) for r in pair]
         suite = select_best(catalog, adjusted, mission)
         selection = (suite.body_sensors, suite.distal_sensors)

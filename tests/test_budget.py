@@ -131,6 +131,18 @@ def test_a_tip_budget_gripper_and_boom_exhaust_is_infeasible_with_no_tip_mass(mi
     )
 
 
+@pytest.mark.parametrize("masses, reason", [
+    ({"distal_sensor_mass_kg": 0.8}, "distal sensor mass 0.8000 kg exceeds budget 0.7295 kg"),
+    ({"distal_sensor_mass_kg": 0.7295}, "distal sensor mass 0.72950 kg exceeds budget 0.72949 kg"),
+    ({"body_sensor_mass_kg": 1.988 + 1e-9}, "body sensor mass 1.988000001 kg exceeds budget 1.988000000 kg"),
+    ({"body_sensor_mass_kg": 1.9880000000000002},
+     "body sensor mass 1.9880000000000002 kg exceeds budget 1.9880000000000000 kg"),
+])
+def test_a_mass_over_budget_reads_apart_from_the_budget(mission, masses, reason):
+    # the fewest decimals, at least 4, at which the two numbers differ
+    assert budget_report(mission, **masses).reasons == (reason,)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["distal_sensor_mass_kg", "body_sensor_mass_kg"])
 def test_budget_report_rejects_non_finite_masses(mission, field, value):

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import boomsuite
+from boomsuite import cli
 from boomsuite.catalog import (
     Accuracy,
     Catalog,
@@ -177,17 +178,30 @@ def test_malformed_sensor_names_field(tmp_path, mutation, field):
     assert (exc.value.subject, exc.value.field) == ("x", field)
 
 
+def _documented_section(heading):
+    """The text under ``## heading`` in docs/file_formats.md."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _documented_fields(heading):
     """The first column of the table under ``## heading`` in docs/file_formats.md."""
-    text = (Path(__file__).resolve().parent.parent / "docs" / "file_formats.md").read_text(encoding="utf-8")
-    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    return re.findall(r"^\| `([^`]+)` \|", _documented_section(heading), re.M)
 
 
 def test_file_formats_doc_lists_every_catalog_and_mission_key():
     sensor_keys = dict.fromkeys(name.split(".")[0] for name in _documented_fields("Sensor catalog"))
     assert list(sensor_keys) == list(_SENSOR.readers)
     assert _documented_fields("Mission configuration") == [f.name for f in fields(MissionConfig)]
+
+
+def test_file_formats_doc_lists_every_flag_with_its_commands():
+    rows = re.findall(r"^\| (`--.+?) \| (.+?) \|", _documented_section("Command-line flags"), re.M)
+    documented = []
+    for flags, commands in rows:
+        takers = cli._EVERY if commands == "all" else tuple(re.findall(r"`([a-z]+)`", commands))
+        documented += [(flag, takers) for flag in re.findall(r"`(--[a-z-]+)", flags)]
+    assert documented == [(flag, commands) for flag, commands, _ in cli._FLAGS]
 
 
 def test_duplicate_ids_rejected(tmp_path):

@@ -172,6 +172,44 @@ def test_budget_reads_masses_from_a_mounts_file_without_preset(capsys):
     assert "distal_sensor_mass_kg,0.26\n" in out
 
 
+def test_budget_given_both_masses_reads_no_catalog(capsys):
+    masses = ("--body-mass", "1", "--distal-mass", "0.2")
+    code, out, err = run(capsys, "budget", *_paper_files("mission"), *masses, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "body_sensor_mass_kg,1\ndistal_sensor_mass_kg,0.2\n" in out
+
+
+def test_budget_without_a_mounts_file_takes_0_kg_for_a_mass_not_given(capsys):
+    argv = ("budget", *_paper_files("mission"), "--distal-mass", "0.2", "--format", "csv")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "body_sensor_mass_kg,0\ndistal_sensor_mass_kg,0.2\n" in out
+
+
+def test_budget_still_reads_a_catalog_it_is_given(capsys, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("sensors: []\n", encoding="utf-8")
+    masses = ("--body-mass", "1", "--distal-mass", "0")
+    code, out, err = run(capsys, "budget", "--catalog", str(bad), *_paper_files("mission"), *masses)
+    assert (code, out) == (2, "")
+    assert "sensors" in err
+
+
+def test_budget_reading_a_mounts_file_needs_a_catalog(capsys):
+    code, out, err = run(capsys, "budget", *_paper_files("mission", "mounts"))
+    assert (code, out) == (2, "")
+    assert err == "error: a --catalog file is required (or use --preset paper)\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "md"])
+def test_budget_prints_no_minus_zero_and_a_reason_whose_numbers_differ(capsys, fmt):
+    argv = ("budget", "--preset", "paper", "--body-mass", "1.988", "--distal-mass", "0.7295", "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert "distal sensor mass 0.72950 kg exceeds budget 0.72949 kg" in out
+    assert not re.search(r"(?<![\w.])-0(?![\w.])", out)
+
+
 def test_budget_missing_mounts_file_exits_two(capsys, tmp_path):
     missing = tmp_path / "no_such_mounts.yaml"
     code, out, err = run(capsys, "budget", *_paper_files("catalog", "mission"), "--mounts", str(missing))

@@ -5,7 +5,7 @@ import csv
 
 import pytest
 
-from boomsuite.reporting import FORMATS, render_prose, render_table
+from boomsuite.reporting import FORMATS, fmt_num, render_prose, render_table
 
 CELLS = [3, 2.0, 0.12345, True, False, None, "", "vlp16,d435i"]
 TEXTS = ["3", "2", "0.1235", "yes", "no", "-", "", "vlp16,d435i"]
@@ -45,3 +45,8 @@ def test_only_the_table_format_prints_prose(fmt):
 
 def test_prose_formats_its_cells_as_tables_do():
     assert render_prose([("{} {} {} {}", 1.0, None, False, "a")]) == ["1 - no a"]
+
+
+@pytest.mark.parametrize("value", [-1.2e-5, -4.9e-5, -0.0, -1e-300, 1e-300, 4.9e-5])
+def test_a_number_that_rounds_to_zero_prints_as_0(value):
+    assert fmt_num(value) == "0"

@@ -181,6 +181,23 @@ def test_empty_requirement_set_gates_nothing(catalog, far_profile):
     assert not any(matrix.failing[sid] for sid in pool.ids())
 
 
+@pytest.mark.parametrize("profile_name", ["far_profile", "near_profile"])
+def test_a_requirement_criterion_scores_and_gates_as_both_does(request, catalog, profile_name):
+    profile = request.getfixturevalue(profile_name)
+    pool = catalog.subset(modalities=profile.modalities)
+
+    def gating_as(kind):
+        return replace(profile, criteria=tuple(
+            replace(c, kind=kind) if c.kind.gates else c for c in profile.criteria
+        ))
+
+    requirement = score_matrix(pool, gating_as(CriterionKind.REQUIREMENT))
+    assert requirement == score_matrix(pool, gating_as(CriterionKind.BOTH))
+    # the gate bites, and the gating criteria count toward the sums
+    assert any(requirement.failing.values())
+    assert requirement.weighted_sums == (FAR_SUMS if profile_name == "far_profile" else NEAR_SUMS)
+
+
 # ---------------------------------------------------------------------------
 # modality overview
 
