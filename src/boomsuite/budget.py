@@ -140,7 +140,7 @@ def budget_report(
     distal_margin = distal_budget - distal_sensor_mass_kg
     reasons = []
     if weight > capacity:
-        reasons.append(f"gripper pulloff capacity short by {weight - capacity:.3f} N")
+        reasons.append(_exceeds("weight on grippers", weight, "pulloff capacity", capacity, "N"))
     if unloaded > allowable:
         moment = _exceeds("gripper and boom moment", unloaded, "the allowable", allowable, "N*m")
         reasons.append(f"{moment}, leaving no distal sensor budget")

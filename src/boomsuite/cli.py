@@ -200,10 +200,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
     from .catalog import load_catalog
 
     catalog = load_catalog(_input(args, "catalog"))
-    profile_arg = args.profile or ("far_field" if args.preset == "paper" else None)
-    if profile_arg is None:
-        raise TradeStudyError("a --profile file or shorthand is required")
-    return EXIT_OK, _matrix_section(catalog, _load_profile(profile_arg, catalog), args.format)
+    return EXIT_OK, _matrix_section(catalog, _load_profile(args.profile or "far_field", catalog), args.format)
 
 
 def cmd_budget(args: argparse.Namespace) -> tuple[int, str]:
@@ -235,9 +232,7 @@ def _mount_lines(spec: MountSpec, tube: TubeSection, mission: MissionConfig) -> 
     from .geometry import effective_vertical_fov, near_field_threshold
 
     for mount in spec.body_mounts:
-        fov = mount.sensor.fov
-        if fov is None:
-            continue
+        fov = mount.sensor.fov  # section_coverage has rejected a mount without one
         vfov = fov.vertical_deg if fov.vertical_deg is not None else fov.horizontal_deg
         # the catalog allows up to 360; a mount delivers at most 180
         eff = effective_vertical_fov(min(vfov, 180.0), abs(mount.tilt_deg), mount.spinning)

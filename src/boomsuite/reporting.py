@@ -87,7 +87,7 @@ def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[Cell]],
     fmt: str,
-    title: str | None = None,
+    title: str,
     before: Iterable[Prose] = (),
     after: Iterable[Prose] = (),
 ) -> str:
@@ -99,13 +99,12 @@ def render_table(
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if title:
-            buf.write(f"# {title}\n")
+        buf.write(f"# {title}\n")
         writer.writerow(headers)
         writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
     if fmt == "md":
-        lines = [f"## {title}", ""] if title else []
+        lines = [f"## {title}", ""]
         lines.append("| " + " | ".join(headers) + " |")
         lines.append("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
@@ -113,7 +112,7 @@ def render_table(
         return "\n".join(lines)
     if fmt == "table":
         widths = [max(map(len, column)) for column in zip(headers, *rows)]
-        lines = [f"== {title} =="] if title else []
+        lines = [f"== {title} =="]
         lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
         lines.append("  ".join("-" * w for w in widths))
         for row in rows:
@@ -122,9 +121,7 @@ def render_table(
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def decision_matrix_table(
-    matrix: DecisionMatrix, catalog: Catalog, fmt: str, title: str | None = None
-) -> str:
+def decision_matrix_table(matrix: DecisionMatrix, catalog: Catalog, fmt: str, title: str) -> str:
     """Sensor rows, per-criterion scores, weighted sum, gate flags."""
     headers = (
         ["Sensor"]
@@ -145,7 +142,7 @@ def decision_matrix_table(
 def modality_overview_table(
     table: dict[Modality, tuple[SensorRecord, dict[CriterionName, Ordinal]]],
     fmt: str,
-    title: str | None = None,
+    title: str,
 ) -> str:
     """Per-modality High/Mid/Low capability grid, each row named after
     the exemplar ``modality_table`` graded."""
@@ -157,9 +154,7 @@ def modality_overview_table(
     return render_table(headers, rows, fmt, title=title)
 
 
-def budget_table(
-    report: BudgetReport, fmt: str, title: str | None = None, before: Iterable[Prose] = ()
-) -> str:
+def budget_table(report: BudgetReport, fmt: str, title: str, before: Iterable[Prose] = ()) -> str:
     """Machine-readable field/value rendering of a budget report."""
     rows = [
         ["boom_mass_kg", report.boom_mass],
@@ -198,7 +193,7 @@ def budget_summary_lines(report: BudgetReport) -> list[Prose]:
 def coverage_table(
     report: CoverageReport,
     fmt: str,
-    title: str | None = None,
+    title: str,
     before: Iterable[Prose] = (),
     after: Iterable[Prose] = (),
 ) -> str:
@@ -227,9 +222,7 @@ def stage_plan_lines(plan: StagePlan) -> list[Prose]:
     return lines
 
 
-def selection_lines(
-    suite: SuiteSolution, fmt: str, title: str | None = None, before: Iterable[Prose] = ()
-) -> str:
+def selection_lines(suite: SuiteSolution, fmt: str, title: str, before: Iterable[Prose] = ()) -> str:
     """Chosen suite plus the justification trace (margins, ties, warnings)."""
     rows = [
         ["body_sensors", ",".join(suite.body_sensors) or None],
@@ -246,11 +239,13 @@ def selection_lines(
     if plan.blind_band > 0:
         rows.append(["stage_blind_band_m", plan.blind_band])
     rows += ([f"note_{i}", note] for i, note in enumerate(suite.notes))
-    rows += ([f"warning_{i}", warning] for i, warning in enumerate(suite.warnings))
+    if plan.marginal:
+        rows.append(["warning_0", f"stage plan leaves a {plan.blind_band:.2f} m blind band below "
+                                  f"the {plan.near_field_max:.2f} m near-field boundary"])
     return render_table(["field", "value"], rows, fmt, title=title, before=before)
 
 
-def sensitivity_table(rows: list[SensitivityRow], fmt: str, title: str | None = None) -> str:
+def sensitivity_table(rows: list[SensitivityRow], fmt: str, title: str) -> str:
     headers = ["Weight", "Body", "Distal", "Score", "Changed", "Notes"]
     table_rows = [
         [row.weight, ",".join(row.body_sensors) or None, ",".join(row.distal_sensors) or None,

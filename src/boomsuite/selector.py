@@ -132,7 +132,6 @@ class SuiteSolution:
     total_price: float                  # USD
     aggregate_score: int
     stage_plan: StagePlan
-    warnings: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
 
@@ -176,10 +175,6 @@ def _solution(
 ) -> SuiteSolution:
     """The SuiteSolution of a pair whose stage plan is usable."""
     score = sum(body_slot.score(s.id) for s in body) + sum(distal_slot.score(s.id) for s in distal)
-    warnings = () if not plan.marginal else (
-        f"stage plan leaves a {plan.blind_band:.2f} m blind band below "
-        f"the {plan.near_field_max:.2f} m near-field boundary",
-    )
     return SuiteSolution(
         body_sensors=tuple(s.id for s in body),
         distal_sensors=tuple(s.id for s in distal),
@@ -188,7 +183,6 @@ def _solution(
         total_price=sum(s.price for s in body) + sum(s.price for s in distal),
         aggregate_score=score,
         stage_plan=plan,
-        warnings=warnings,
     )
 
 
@@ -246,6 +240,8 @@ def _tie_key(body: tuple[SensorRecord, ...], distal: tuple[SensorRecord, ...]) -
 
 
 def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
+    from .budget import _exceeds
+
     reasons = []
     for label, slot in (("body", body_slot), ("distal", distal_slot)):
         if not slot.matrix.sensor_ids:
@@ -256,10 +252,8 @@ def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
             continue
         lightest = min(s.mass_kg for s in slot.eligible)
         if lightest > slot.rule.mass_budget:
-            reasons.append(
-                f"{label}: lightest eligible sensor ({lightest:.3f} kg) exceeds "
-                f"the {slot.rule.mass_budget:.3f} kg budget"
-            )
+            mass = _exceeds("lightest eligible sensor", lightest, "budget", slot.rule.mass_budget, "kg")
+            reasons.append(f"{label}: {mass}")
         need = slot.rule.min_dust_robust_modalities
         available = len(_dust_modalities(slot, slot.eligible))
         if available < need:

@@ -94,7 +94,7 @@ def test_pulloff_single_gripper_infeasible(mission):
     report = budget_report(dataclasses.replace(mission, boom_count=1))
     assert not report.feasible
     assert report.pulloff_margin < 0
-    assert report.reasons[0] == "gripper pulloff capacity short by 88.800 N"
+    assert report.reasons[0] == "weight on grippers 111.3000 N exceeds pulloff capacity 22.5000 N"
 
 
 def test_pulloff_weighs_the_overall_budget_not_the_loadout(mission):

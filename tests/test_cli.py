@@ -117,7 +117,7 @@ def test_instruments_that_exhaust_the_body_budget_make_an_infeasible_analysis(ca
         assert re.search(r"^body_sensor_budget_kg\s+0$", out, re.MULTILINE)
         assert re.search(r"^feasible\s+no$", out, re.MULTILINE)
     else:
-        assert "  - body: lightest eligible sensor (0.004 kg) exceeds the 0.000 kg budget\n" in out
+        assert "  - body: lightest eligible sensor 0.0040 kg exceeds budget 0.0000 kg\n" in out
 
 
 ENVELOPE_REASONS = {
@@ -210,6 +210,15 @@ def test_budget_prints_no_minus_zero_and_a_reason_whose_numbers_differ(capsys, f
     assert not re.search(r"(?<![\w.])-0(?![\w.])", out)
 
 
+def test_budget_names_a_pulloff_shortfall_with_numbers_that_differ(capsys, tmp_path):
+    # eight grippers at 13.91245 N hold 111.2996 N of the 111.3 N the overall budget weighs
+    mission = _paper_mission_with(tmp_path, "gripper_pulloff", 13.91245)
+    code, out, err = run(capsys, "budget", "--preset", "paper", "--mission", mission, "--format", "csv")
+    assert (code, err) == (1, "")
+    assert "\npulloff_margin_n,-0.0004\n" in out
+    assert "\nreason_0,weight on grippers 111.3000 N exceeds pulloff capacity 111.2996 N\n" in out
+
+
 def test_budget_missing_mounts_file_exits_two(capsys, tmp_path):
     missing = tmp_path / "no_such_mounts.yaml"
     code, out, err = run(capsys, "budget", *_paper_files("catalog", "mission"), "--mounts", str(missing))
@@ -253,6 +262,27 @@ def test_select_infeasible_exits_one(capsys):
     code, out, _ = run(capsys, "select", "--preset", "paper", "--distal-budget", "0.05")
     assert code == 1
     assert "no feasible suite" in out
+
+
+def test_select_names_a_budget_just_below_the_lightest_sensor_with_numbers_that_differ(capsys):
+    # oak_d, the lightest eligible tip sensor, weighs 0.115 kg
+    code, out, err = run(capsys, "select", "--preset", "paper", "--distal-budget", "0.1149")
+    assert (code, out, err) == (1, (
+        "no feasible suite:\n"
+        "  - distal: lightest eligible sensor 0.1150 kg exceeds budget 0.1149 kg\n"
+    ), "")
+
+
+def test_select_warns_of_a_marginal_stage_plan_and_not_of_a_valid_one(capsys, tmp_path):
+    _, marginal, _ = run(capsys, "select", "--preset", "paper", "--format", "csv")
+    warning = "warning_0,stage plan leaves a 0.33 m blind band below the 3.33 m near-field boundary"
+    assert f"\n{warning}\n" in marginal
+    # a 9 m boom puts the near-field boundary at 3 m, the tip camera's reach: no blind band
+    mission = _paper_mission_with(tmp_path, "boom_length", 9)
+    code, valid, _ = run(capsys, "select", "--preset", "paper", "--mission", mission, "--format", "csv")
+    assert code == 0
+    assert "\nstage_plan,valid\n" in valid
+    assert "warning_" not in valid
 
 
 def test_select_names_the_body_budget_and_dust_rule_that_no_pair_meets(capsys):
@@ -310,6 +340,12 @@ def test_missing_inputs_exit_two(capsys):
     code, _, err = run(capsys, "evaluate")
     assert code == 2
     assert "error" in err
+
+
+def test_evaluate_without_a_profile_scores_against_far_field_whatever_the_preset(capsys):
+    code, out, err = run(capsys, "evaluate", *_paper_files("catalog"))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "evaluate", "--preset", "paper")[1]
 
 
 def test_bad_catalog_exits_two(capsys, tmp_path):

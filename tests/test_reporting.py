@@ -19,22 +19,22 @@ def _row(text: str, fmt: str) -> list[str]:
         return next(csv.reader([last]))
     if fmt == "md":
         return [cell.strip() for cell in last[1:-1].split("|")]
-    # table: columns are padded to their widths, which the header row shows
-    header = text.splitlines()[0]
+    # table: columns are padded to their widths, which the header row, under the title, shows
+    header = text.splitlines()[1]
     starts = [header.index(h) for h in HEADERS] + [None]
     return [last[a:b].strip() for a, b in zip(starts, starts[1:])]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_each_kind_of_cell_reads_the_same_in_every_format(fmt):
-    assert _row(render_table(HEADERS, [CELLS], fmt), fmt) == TEXTS
+    assert _row(render_table(HEADERS, [CELLS], fmt, "cells"), fmt) == TEXTS
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_only_the_table_format_prints_prose(fmt):
     before = [("{} of {} kg", 0.5, 2.0)]
     after = iter([("plan: {}", True)])
-    text = render_table(["field"], [["x"]], fmt, before=before, after=after)
+    text = render_table(["field"], [["x"]], fmt, "prose", before=before, after=after)
     if fmt == "table":
         assert text.splitlines()[0] == "0.5 of 2 kg"
         assert text.splitlines()[-1] == "plan: yes"
