@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import MissionConfig
+from .errors import ValidationError
 
 __all__ = [
     "BudgetReport",
@@ -117,7 +118,8 @@ def budget_report(
     instruments leave of the overall budget; the grippers must hold the
     whole overall budget.  A budget the mission exhausts floors at 0, as
     ``max_distal_sensor_mass`` floors the tip's, with a reason naming
-    what used it up, so the report is infeasible whatever the loadout.
+    what used it up, so the report is infeasible whatever the loadout; a
+    quantity that overflows a float raises a ValidationError naming it.
     """
     masses = {"distal_sensor_mass_kg": distal_sensor_mass_kg, "body_sensor_mass_kg": body_sensor_mass_kg}
     for name, m in masses.items():
@@ -153,7 +155,7 @@ def budget_report(
         )
     if body_margin < 0:
         reasons.append(_exceeds("body sensor mass", body_sensor_mass_kg, "budget", body_budget, "kg"))
-    return BudgetReport(
+    report = BudgetReport(
         boom_mass=one_boom,
         total_boom_mass=total_booms,
         body_sensor_budget=body_budget,
@@ -170,3 +172,7 @@ def budget_report(
         feasible=not reasons,
         reasons=tuple(reasons),
     )
+    for name, value in vars(report).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError("budget", name, f"must be finite; the mission and masses give {value}")
+    return report

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, NoReturn, TextIO
 
 from .errors import NoFeasibleSuiteError, TradeStudyError, ValidationError, fields_of
 from .reporting import FORMATS
@@ -424,28 +425,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_line(stream: TextIO | None, text: str) -> OSError | None:
+    """Write and flush a line, or return why not, with ``stream`` then at /dev/null."""
+    try:
+        stream.write(text + "\n")
+        stream.flush()
+    except AttributeError:  # None: the process started with it closed
+        return OSError(errno.EBADF, os.strerror(errno.EBADF))
+    except OSError as exc:  # the flush at exit then cannot fail too, exiting 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command in-process and return its exit code, leaving the garbage collector as
+    it found it.  The program (no ``argv``) keeps the cyclic collector off and freezes the heap
+    before exit, so that the interpreter's exit collections skip what the imports left behind."""
+    if argv is None:
+        gc.disable()
+        try:
+            return _run(sys.argv[1:])
+        finally:
+            gc.freeze()
+    return _run(argv)
+
+
+def _run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
         code, output = args.func(args)
     except _Help as exc:
         code, output = EXIT_OK, str(exc)
     except (TradeStudyError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write_line(sys.stderr, f"error: {exc}")  # exits 2 with stderr closed or full too
         return EXIT_INPUT
     # The one write.  A failed one exits 2, not 1, which would read as infeasible.
-    try:
-        if sys.stdout is None:  # started with stdout closed
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        sys.stdout.write(output + "\n")
-        sys.stdout.flush()
-    except OSError as exc:
-        if exc.errno != errno.EPIPE:  # nothing to tell a reader that has gone
-            sys.stderr.write(f"error: cannot write output: {exc.strerror}\n")
-        if sys.stdout is not None:  # the flush at exit then goes to /dev/null
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_INPUT
-    return code
+    failed = _write_line(sys.stdout, output)
+    if failed is not None and failed.errno != errno.EPIPE:  # nothing to tell a reader that has gone
+        _write_line(sys.stderr, f"error: cannot write output: {failed.strerror}")
+    return code if failed is None else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import gc
 import os
 import re
 import subprocess
@@ -909,6 +910,25 @@ DEFECTS = {
         ],
         "error: mounts.distal_sensors: unknown sensor id 'd435ix'; did you mean 'd435i'?\n",
     ),
+    # finite inputs whose budget overflows a float: once a traceback or an inf printed as a number
+    "mission-overflows-the-budget": (
+        lambda tmp: [
+            "budget", "--preset", "paper", "--mission",
+            _mutated(tmp, "paper_mission.yaml", lambda d: d.__setitem__("boom_linear_density", 1.0e308)),
+        ],
+        "error: budget.boom_mass: must be finite; the mission and masses give inf\n",
+    ),
+    "mission-overflows-the-selection": (
+        lambda tmp: [
+            "select", "--preset", "paper", "--mission",
+            _mutated(tmp, "paper_mission.yaml", lambda d: d.__setitem__("boom_linear_density", 1.0e308)),
+        ],
+        "error: budget.boom_mass: must be finite; the mission and masses give inf\n",
+    ),
+    "distal-mass-overflows-the-moment": (
+        lambda tmp: ["budget", "--preset", "paper", "--distal-mass", "1e308"],
+        "error: budget.shoulder_moment: must be finite; the mission and masses give inf\n",
+    ),
 }
 # Budgets and sensor counts below their bound, in both commands that take them.
 for _command in ("select", "report"):
@@ -941,13 +961,13 @@ def test_bad_input_exits_two_without_traceback(tmp_path, case):
     assert result.stdout == ""
 
 
-def _cli_writing_to(stdout, *argv, **options):
+def _cli_writing_to(stdout, *argv, stderr=subprocess.PIPE, **options):
     src = Path(boomsuite.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", "boomsuite.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         timeout=120,
         **options,
@@ -995,3 +1015,70 @@ def test_a_closed_stdout_exits_two_with_an_error_line():
     result = _cli_writing_to(None, "evaluate", "--preset", "paper", preexec_fn=lambda: os.close(1))
     assert result.returncode == 2
     assert result.stderr == f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
+
+
+# An input error, and an output that cannot be written, each with its stream closed.
+_ERROR_EXITS = {
+    "input-error": (["evaluate", "--catalog", "/nonexistent.yaml"], (2,)),
+    "unwritable-output": (["budget", "--preset", "paper"], (1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_EXITS))
+def test_a_closed_stderr_still_exits_two(case):
+    # the error line has nowhere to go; exit 1 would read as infeasible
+    argv, closed = _ERROR_EXITS[case]
+    result = _cli_writing_to(subprocess.PIPE, *argv, preexec_fn=lambda: [os.close(fd) for fd in closed])
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("case", sorted(_ERROR_EXITS))
+def test_a_full_stderr_still_exits_two(case):
+    argv, _ = _ERROR_EXITS[case]
+    with open("/dev/full", "w") as full:
+        result = _cli_writing_to(full, *argv, stderr=full)
+    assert result.returncode == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["budget", "--preset", "paper"], 0),
+    (["coverage", "--preset", "paper", "--tube-width", "300"], 1),
+    (["evaluate", "--catalog", "/nonexistent.yaml"], 2),
+])
+def test_main_with_argv_leaves_the_collector_as_it_found_it(capsys, argv, code):
+    enabled = gc.isenabled()
+    try:
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            frozen = gc.get_freeze_count()
+            assert main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+# The entry the benchmark's cli_paper workload runs, after a probe that
+# prints, at exit, whether the collector is on and how many objects are frozen.
+_PROBED_ENTRY = (
+    "import atexit, gc, sys; "
+    "atexit.register(lambda: sys.stderr.write(f'gc {gc.isenabled()} {gc.get_freeze_count()}\\n')); "
+    "from boomsuite.cli import main; sys.exit(main())"
+)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["budget", "--preset", "paper"], 0),
+    (["evaluate", "--catalog", "/nonexistent.yaml"], 2),
+    (["budget", "--no-such-flag"], 2),  # argparse's own exit
+], ids=["ok", "input-error", "usage-error"])
+def test_the_program_runs_without_the_collector_and_exits_with_the_heap_frozen(argv, code):
+    src = Path(boomsuite.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBED_ENTRY, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == code
+    word, enabled, frozen = result.stderr.splitlines()[-1].split()
+    assert (word, enabled) == ("gc", "False")
+    assert int(frozen) > 0

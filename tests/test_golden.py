@@ -10,14 +10,17 @@ to alter an output regenerates the file and says so:
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import boomsuite
 from boomsuite.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "readme_cli.json"
@@ -79,6 +82,20 @@ def test_readme_command_output_is_unchanged(argv):
     got = run(argv)
     assert got["code"] == expected["code"]
     assert got["stdout"] == expected["stdout"]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv + ["--format", FORMATS[i % 3]] for i, argv in enumerate(README_COMMANDS)], ids=" ".join
+)
+def test_readme_command_prints_the_same_as_the_program(argv):
+    """The program, which runs with the collector off, prints what ``main(argv)`` prints."""
+    src = Path(boomsuite.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "boomsuite.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    expected = _expected()[" ".join(argv)]
+    assert (result.returncode, result.stdout) == (expected["code"], expected["stdout"])
 
 
 def test_readme_outputs_are_unchanged_without_libyaml(monkeypatch):
