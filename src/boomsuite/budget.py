@@ -35,7 +35,11 @@ __all__ = [
 class BudgetReport:
     """Budget envelope plus the margins left by a concrete loadout.
 
-    Units: masses/budgets kg, moments N*m, forces N.
+    Units: masses/budgets kg, moments N*m, forces N.  ``reasons`` maps each
+    field a failed check explains to its sentence, in this order:
+    ``pulloff_margin``, ``distal_sensor_budget`` (gripper and boom use up
+    the moment), ``distal_margin``, ``body_sensor_budget`` (booms and
+    instruments leave no remainder) and ``body_margin``.
     """
 
     boom_mass: float
@@ -52,7 +56,7 @@ class BudgetReport:
     distal_margin: float
     pulloff_margin: float
     feasible: bool
-    reasons: tuple[str, ...]
+    reasons: dict[str, str]
 
 
 def boom_mass(length_m: float, density_g_per_m: float) -> float:
@@ -98,13 +102,18 @@ def max_distal_sensor_mass(
     return max(0.0, m_sensor)
 
 
-def _exceeds(what: str, value: float, limit_name: str, limit: float, unit: str) -> str:
+def _num(value: float, digits: int = 4) -> str:
+    """A number in a reason: ``digits`` decimals, or from 1e15 up the shortest form that reads back."""
+    return repr(float(value)) if abs(value) >= 1e15 else f"{value:.{digits}f}"
+
+
+def _exceeds(what: str, value: float, limit: float, limit_name: str = "budget", unit: str = "kg") -> str:
     """A reason that ``value`` exceeds ``limit``, both printed to the fewest
     decimals, at least 4, at which they differ."""
     digits = 4
-    while f"{value:.{digits}f}" == f"{limit:.{digits}f}" and value != limit:
+    while _num(value, digits) == _num(limit, digits) and value != limit:
         digits += 1
-    return f"{what} {value:.{digits}f} {unit} exceeds {limit_name} {limit:.{digits}f} {unit}"
+    return f"{what} {_num(value, digits)} {unit} exceeds {limit_name} {_num(limit, digits)} {unit}"
 
 
 def budget_report(
@@ -140,21 +149,21 @@ def budget_report(
 
     body_margin = body_budget - body_sensor_mass_kg
     distal_margin = distal_budget - distal_sensor_mass_kg
-    reasons = []
+    reasons = {}  # keyed by the field each explains
     if weight > capacity:
-        reasons.append(_exceeds("weight on grippers", weight, "pulloff capacity", capacity, "N"))
+        reasons["pulloff_margin"] = _exceeds("weight on grippers", weight, capacity, "pulloff capacity", "N")
     if unloaded > allowable:
-        moment = _exceeds("gripper and boom moment", unloaded, "the allowable", allowable, "N*m")
-        reasons.append(f"{moment}, leaving no distal sensor budget")
+        moment = _exceeds("gripper and boom moment", unloaded, allowable, "the allowable", "N*m")
+        reasons["distal_sensor_budget"] = f"{moment}, leaving no distal sensor budget"
     if distal_margin < 0:
-        reasons.append(_exceeds("distal sensor mass", distal_sensor_mass_kg, "budget", distal_budget, "kg"))
+        reasons["distal_margin"] = _exceeds("distal sensor mass", distal_sensor_mass_kg, distal_budget)
     if remainder <= 0:
-        reasons.append(
-            f"booms ({total_booms:.4f} kg) + instruments ({mission.instrument_mass:.4f} kg) "
-            f"leave no remainder of the {mission.overall_mass_budget:.4f} kg overall budget"
+        reasons["body_sensor_budget"] = (
+            f"booms ({_num(total_booms)} kg) + instruments ({_num(mission.instrument_mass)} kg) "
+            f"leave no remainder of the {_num(mission.overall_mass_budget)} kg overall budget"
         )
     if body_margin < 0:
-        reasons.append(_exceeds("body sensor mass", body_sensor_mass_kg, "budget", body_budget, "kg"))
+        reasons["body_margin"] = _exceeds("body sensor mass", body_sensor_mass_kg, body_budget)
     report = BudgetReport(
         boom_mass=one_boom,
         total_boom_mass=total_booms,
@@ -170,7 +179,7 @@ def budget_report(
         distal_margin=distal_margin,
         pulloff_margin=capacity - weight,
         feasible=not reasons,
-        reasons=tuple(reasons),
+        reasons=reasons,
     )
     for name, value in vars(report).items():
         if isinstance(value, float) and not math.isfinite(value):

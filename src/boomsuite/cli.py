@@ -184,12 +184,9 @@ def _no_suite(exc: NoFeasibleSuiteError, args: argparse.Namespace, mission: Miss
     from .budget import budget_report
 
     reasons = list(exc.reasons)
-    envelope = budget_report(mission)
-    # the reasons that floor the body and the tip budget, known by their words
-    floors = {"leave no remainder": args.body_budget, "no distal sensor budget": args.distal_budget}
-    for marker, given in floors.items():
-        if given is None:
-            reasons += [reason for reason in envelope.reasons if marker in reason]
+    envelope = budget_report(mission).reasons
+    flags = {"body_sensor_budget": args.body_budget, "distal_sensor_budget": args.distal_budget}
+    reasons += [envelope[budget] for budget, given in flags.items() if given is None and budget in envelope]
     return "\n".join(["no feasible suite:", *(f"  - {reason}" for reason in reasons)])
 
 

@@ -63,7 +63,9 @@ def fmt_num(value: float | int) -> str:
     """Canonical number rendering shared by every output format."""
     if isinstance(value, int):
         return str(value)
-    if float(value).is_integer() and abs(value) < 1e15:
+    if abs(value) >= 1e15:  # the shortest form that reads back, not fixed point with float noise
+        return repr(float(value))
+    if float(value).is_integer():
         return str(int(value))
     text = f"{value:.4f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text  # a negative value that rounds to zero
@@ -172,7 +174,7 @@ def budget_table(report: BudgetReport, fmt: str, title: str, before: Iterable[Pr
         ["pulloff_margin_n", report.pulloff_margin],
         ["feasible", report.feasible],
     ]
-    rows += ([f"reason_{i}", reason] for i, reason in enumerate(report.reasons))
+    rows += ([f"reason_{i}", reason] for i, reason in enumerate(report.reasons.values()))
     return render_table(["field", "value"], rows, fmt, title=title, before=before)
 
 
@@ -186,7 +188,7 @@ def budget_summary_lines(report: BudgetReport) -> list[Prose]:
         ("boom-tip sensor budget: {} kg", report.distal_sensor_budget),
         ("shoulder moment at {} kg tip mass: {} N*m vs allowable {} N*m",
          report.distal_sensor_mass, report.shoulder_moment, report.allowable_moment),
-        *(("infeasible: {}", reason) for reason in report.reasons),
+        *(("infeasible: {}", reason) for reason in report.reasons.values()),
     ]
 
 

@@ -240,7 +240,7 @@ def _tie_key(body: tuple[SensorRecord, ...], distal: tuple[SensorRecord, ...]) -
 
 
 def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
-    from .budget import _exceeds
+    from .budget import _exceeds, _num
 
     reasons = []
     for label, slot in (("body", body_slot), ("distal", distal_slot)):
@@ -252,7 +252,7 @@ def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
             continue
         lightest = min(s.mass_kg for s in slot.eligible)
         if lightest > slot.rule.mass_budget:
-            mass = _exceeds("lightest eligible sensor", lightest, "budget", slot.rule.mass_budget, "kg")
+            mass = _exceeds("lightest eligible sensor", lightest, slot.rule.mass_budget)
             reasons.append(f"{label}: {mass}")
         need = slot.rule.min_dust_robust_modalities
         available = len(_dust_modalities(slot, slot.eligible))
@@ -263,7 +263,7 @@ def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
         elif lightest <= slot.rule.mass_budget and next(_ranked_subsets(slot), None) is None:
             reasons.append(
                 f"{label}: no set of up to {slot.rule.max_sensors} sensors within the "
-                f"{slot.rule.mass_budget:.3f} kg budget has {need} dust-robust modalities"
+                f"{_num(slot.rule.mass_budget)} kg budget has {need} dust-robust modalities"
             )
     return reasons or ["no body/distal combination yields a workable stage plan"]
 

@@ -44,9 +44,9 @@ def test_body_budget_floors_at_zero_when_booms_and_instruments_exhaust_it(missio
     report = budget_report(dataclasses.replace(mission, instrument_mass=100))
     assert report.body_sensor_budget == 0.0
     assert not report.feasible
-    assert report.reasons == (
-        "booms (4.9600 kg) + instruments (100.0000 kg) leave no remainder of the 30.0000 kg overall budget",
-    )
+    assert report.reasons == {"body_sensor_budget": (
+        "booms (4.9600 kg) + instruments (100.0000 kg) leave no remainder of the 30.0000 kg overall budget"
+    )}
 
 
 def test_body_budget_is_its_fraction_of_the_remainder(mission):
@@ -94,7 +94,8 @@ def test_pulloff_single_gripper_infeasible(mission):
     report = budget_report(dataclasses.replace(mission, boom_count=1))
     assert not report.feasible
     assert report.pulloff_margin < 0
-    assert report.reasons[0] == "weight on grippers 111.3000 N exceeds pulloff capacity 22.5000 N"
+    reason = "weight on grippers 111.3000 N exceeds pulloff capacity 22.5000 N"
+    assert report.reasons == {"pulloff_margin": reason}
 
 
 def test_pulloff_weighs_the_overall_budget_not_the_loadout(mission):
@@ -113,7 +114,7 @@ def test_budget_report_feasible_architecture(mission):
 def test_budget_report_overweight_distal_is_infeasible(mission):
     report = budget_report(mission, distal_sensor_mass_kg=0.92)
     assert not report.feasible
-    assert any("distal" in r for r in report.reasons)
+    assert "distal_margin" in report.reasons
 
 
 def test_budget_report_zero_masses_feasible(mission):
@@ -125,22 +126,44 @@ def test_a_tip_budget_gripper_and_boom_exhaust_is_infeasible_with_no_tip_mass(mi
     assert report.distal_sensor_budget == 0.0
     assert report.shoulder_moment == pytest.approx(PAPER_MOMENT_NO_SENSOR)
     assert not report.feasible
-    assert report.reasons == (
+    assert report.reasons == {"distal_sensor_budget": (
         "gripper and boom moment 20.7760 N*m exceeds the allowable 0.0008 N*m, "
-        "leaving no distal sensor budget",
-    )
+        "leaving no distal sensor budget"
+    )}
 
 
-@pytest.mark.parametrize("masses, reason", [
-    ({"distal_sensor_mass_kg": 0.8}, "distal sensor mass 0.8000 kg exceeds budget 0.7295 kg"),
-    ({"distal_sensor_mass_kg": 0.7295}, "distal sensor mass 0.72950 kg exceeds budget 0.72949 kg"),
-    ({"body_sensor_mass_kg": 1.988 + 1e-9}, "body sensor mass 1.988000001 kg exceeds budget 1.988000000 kg"),
-    ({"body_sensor_mass_kg": 1.9880000000000002},
+@pytest.mark.parametrize("masses, key, reason", [
+    ({"distal_sensor_mass_kg": 0.8}, "distal_margin",
+     "distal sensor mass 0.8000 kg exceeds budget 0.7295 kg"),
+    ({"distal_sensor_mass_kg": 0.7295}, "distal_margin",
+     "distal sensor mass 0.72950 kg exceeds budget 0.72949 kg"),
+    ({"body_sensor_mass_kg": 1.988 + 1e-9}, "body_margin",
+     "body sensor mass 1.988000001 kg exceeds budget 1.988000000 kg"),
+    ({"body_sensor_mass_kg": 1.9880000000000002}, "body_margin",
      "body sensor mass 1.9880000000000002 kg exceeds budget 1.9880000000000000 kg"),
+    # from 1e15 up a number prints in the shortest form that reads back
+    ({"distal_sensor_mass_kg": 1e300}, "distal_margin",
+     "distal sensor mass 1e+300 kg exceeds budget 0.7295 kg"),
 ])
-def test_a_mass_over_budget_reads_apart_from_the_budget(mission, masses, reason):
+def test_a_mass_over_budget_reads_apart_from_the_budget(mission, masses, key, reason):
     # the fewest decimals, at least 4, at which the two numbers differ
-    assert budget_report(mission, **masses).reasons == (reason,)
+    assert budget_report(mission, **masses).reasons == {key: reason}
+
+
+@pytest.mark.parametrize("key, changes, masses", [
+    ("pulloff_margin", {"boom_count": 1}, {}),
+    ("distal_sensor_budget", {"critical_buckling_moment": 0.001}, {}),
+    ("distal_margin", {}, {"distal_sensor_mass_kg": 0.8}),
+    ("body_sensor_budget", {"instrument_mass": 100}, {}),
+    ("body_margin", {}, {"body_sensor_mass_kg": 2.0}),
+])
+def test_each_reason_is_keyed_by_the_field_it_explains(mission, key, changes, masses):
+    report = budget_report(dataclasses.replace(mission, **changes), **masses)
+    assert key in report.reasons
+    for field in report.reasons:
+        assert field in {f.name for f in dataclasses.fields(report)}
+        # a margin below 0, or a budget used up
+        assert getattr(report, field) < 0 if field.endswith("_margin") else getattr(report, field) == 0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

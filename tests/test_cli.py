@@ -109,18 +109,23 @@ def _paper_mission_with(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("command", ["budget", "select", "report"])
-def test_instruments_that_exhaust_the_body_budget_make_an_infeasible_analysis(capsys, tmp_path, command):
-    mission = _paper_mission_with(tmp_path, "instrument_mass", 100)
+@pytest.mark.parametrize("instruments, printed", [(100, "100.0000"), (1.0e200, "1e+200")])
+def test_instruments_that_exhaust_the_body_budget_make_an_infeasible_analysis(capsys, tmp_path, command,
+                                                                             instruments, printed):
+    mission = _paper_mission_with(tmp_path, "instrument_mass", instruments)
     code, out, err = run(capsys, command, "--preset", "paper", "--mission", mission)
     assert (code, err) == (1, "")
+    # from 1e15 up a number in a reason prints in the shortest form that reads back
+    assert f"booms (4.9600 kg) + instruments ({printed} kg) leave no remainder" in out
     if command == "budget":
-        assert "infeasible: booms (4.9600 kg) + instruments (100.0000 kg) leave no remainder" in out
+        assert f"infeasible: booms (4.9600 kg) + instruments ({printed} kg)" in out
         assert re.search(r"^body_sensor_budget_kg\s+0$", out, re.MULTILINE)
         assert re.search(r"^feasible\s+no$", out, re.MULTILINE)
     else:
         assert "  - body: lightest eligible sensor 0.0040 kg exceeds budget 0.0000 kg\n" in out
 
 
+# the mission values that use up the body budget, then the tip budget, in the order their reasons print
 ENVELOPE_REASONS = {
     "instrument_mass": (100, "booms (4.9600 kg) + instruments (100.0000 kg) leave no remainder"
                              " of the 30.0000 kg overall budget"),
@@ -129,28 +134,43 @@ ENVELOPE_REASONS = {
 }
 
 
+def _mission_exhausting(tmp_path, keys):
+    """The paper mission with the ``ENVELOPE_REASONS`` value of each of ``keys``."""
+    values = {key: ENVELOPE_REASONS[key][0] for key in keys}
+    return _mutated(tmp_path, "paper_mission.yaml", lambda d: d.update(values))
+
+
 @pytest.mark.parametrize("command", ["select", "report"])
-@pytest.mark.parametrize("key", sorted(ENVELOPE_REASONS))
-def test_no_feasible_suite_names_what_exhausted_the_mission_budget(capsys, tmp_path, command, key):
-    value, reason = ENVELOPE_REASONS[key]
-    mission = _paper_mission_with(tmp_path, key, value)
+@pytest.mark.parametrize("keys", [["critical_buckling_moment"], ["instrument_mass"], list(ENVELOPE_REASONS)],
+                         ids="+".join)
+def test_no_feasible_suite_names_what_exhausted_the_mission_budget(capsys, tmp_path, command, keys):
+    mission = _mission_exhausting(tmp_path, keys)
     code, out, err = run(capsys, command, "--preset", "paper", "--mission", mission)
     assert (code, err) == (1, "")
     selection = out[out.index("no feasible suite:\n"):]
-    # after the selector's own lines, and the last line printed
-    assert selection.endswith(f"\n  - {reason}\n")
-    assert selection.count("\n  - ") >= 2
+    # after the selector's own lines, body first, and the last lines printed
+    assert selection.endswith("".join(f"\n  - {ENVELOPE_REASONS[k][1]}" for k in keys) + "\n")
+    assert selection.count("\n  - ") >= len(keys) + 1
 
 
-@pytest.mark.parametrize("flag", ["--body-budget", "--distal-budget"])
-def test_a_budget_flag_leaves_out_the_envelope_reason_it_replaces(capsys, tmp_path, flag):
-    key = "instrument_mass" if flag == "--body-budget" else "critical_buckling_moment"
-    value, reason = ENVELOPE_REASONS[key]
-    mission = _paper_mission_with(tmp_path, key, value)
-    code, out, err = run(capsys, "select", "--preset", "paper", "--mission", mission, flag, "0.001")
+@pytest.mark.parametrize("command", ["select", "report"])
+@pytest.mark.parametrize("keys, flag, value", [
+    (["instrument_mass"], "--body-budget", "0.001"),
+    (["critical_buckling_moment"], "--distal-budget", "0.001"),
+    # with both budgets used up, the other budget's reason stays
+    (list(ENVELOPE_REASONS), "--body-budget", "1"),
+    (list(ENVELOPE_REASONS), "--distal-budget", "1"),
+])
+def test_a_budget_flag_leaves_out_the_envelope_reason_it_replaces(capsys, tmp_path, command, keys, flag,
+                                                                  value):
+    replaced = "instrument_mass" if flag == "--body-budget" else "critical_buckling_moment"
+    mission = _mission_exhausting(tmp_path, keys)
+    code, out, err = run(capsys, command, "--preset", "paper", "--mission", mission, flag, value)
     assert (code, err) == (1, "")
-    assert "no feasible suite:\n" in out
-    assert reason not in out
+    selection = out[out.index("no feasible suite:\n"):]
+    assert ENVELOPE_REASONS[replaced][1] not in selection
+    kept = [f"\n  - {ENVELOPE_REASONS[key][1]}" for key in keys if key != replaced]
+    assert selection.endswith("".join(kept) + "\n")
 
 
 def test_a_buckling_moment_gripper_and_boom_exhaust_makes_an_infeasible_budget(capsys, tmp_path):
@@ -286,14 +306,25 @@ def test_select_warns_of_a_marginal_stage_plan_and_not_of_a_valid_one(capsys, tm
     assert "warning_" not in valid
 
 
-def test_select_names_the_body_budget_and_dust_rule_that_no_pair_meets(capsys):
+@pytest.mark.parametrize("budget, printed", [("0.3", "0.3000"), ("0.2999", "0.2999")])
+def test_select_names_the_body_budget_and_dust_rule_that_no_pair_meets(capsys, budget, printed):
     """A radar fits 0.3 kg and lidar and radar are both dust-robust, but no
-    lidar that passes the gates fits: os1_32, the lightest, weighs 0.495 kg."""
-    code, out, _ = run(capsys, "select", "--preset", "paper", "--redundancy", "--body-budget", "0.3")
+    lidar that passes the gates fits: os1_32, the lightest, weighs 0.495 kg.
+    The budget prints to at least 4 decimals, as every number in a reason."""
+    code, out, _ = run(capsys, "select", "--preset", "paper", "--redundancy", "--body-budget", budget)
     assert (code, out) == (1, (
         "no feasible suite:\n"
-        "  - body: no set of up to 2 sensors within the 0.300 kg budget has 2 dust-robust modalities\n"
+        f"  - body: no set of up to 2 sensors within the {printed} kg budget has 2 dust-robust modalities\n"
     ))
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "md"])
+def test_a_number_of_1e15_or_more_prints_in_at_most_17_significant_digits(capsys, fmt):
+    code, out, _ = run(capsys, "budget", "--preset", "paper", "--distal-mass", "1e300", "--format", fmt)
+    assert code == 1
+    assert "distal sensor mass 1e+300 kg exceeds budget 0.7295 kg" in out
+    for number in re.findall(r"\d[\d.]*", out):
+        assert len(number.replace(".", "").lstrip("0")) <= 17, number
 
 
 def test_select_sweep_infeasible_exits_one_with_the_reasons_select_gives(capsys):

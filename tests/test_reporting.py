@@ -2,6 +2,7 @@
 every format."""
 
 import csv
+import math
 
 import pytest
 
@@ -50,3 +51,15 @@ def test_prose_formats_its_cells_as_tables_do():
 @pytest.mark.parametrize("value", [-1.2e-5, -4.9e-5, -0.0, -1e-300, 1e-300, 4.9e-5])
 def test_a_number_that_rounds_to_zero_prints_as_0(value):
     assert fmt_num(value) == "0"
+
+
+@pytest.mark.parametrize("value, text", [
+    (1e15, "1000000000000000.0"),
+    (-1e300, "-1e+300"),
+    (1e300, "1e+300"),
+    # below 1e15, as ever: an integral value as an integer, any other to 4 decimals
+    (1e15 - 1, "999999999999999"),
+    (math.nextafter(1e15, 0), "999999999999999.875"),
+])
+def test_a_number_from_1e15_up_prints_in_the_shortest_form_that_reads_back(value, text):
+    assert fmt_num(value) == text
