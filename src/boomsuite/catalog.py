@@ -79,9 +79,8 @@ class PixelGrid:
 
 @dataclass(frozen=True)
 class ScanPattern:
-    """Scanner resolution as channels plus angular step sizes (degrees)."""
+    """Scanner resolution as angular step sizes (degrees)."""
 
-    channels: int
     horizontal_res_deg: float
     vertical_res_deg: float
 
@@ -105,14 +104,13 @@ class Accuracy:
 
 @dataclass(frozen=True)
 class FieldOfView:
-    """Angular field of view in degrees.  Vertical/diagonal optional."""
+    """Angular field of view in degrees.  Vertical optional."""
 
     horizontal_deg: float
     vertical_deg: float | None = None
-    diagonal_deg: float | None = None
 
     def __post_init__(self) -> None:
-        for label in ("horizontal_deg", "vertical_deg", "diagonal_deg"):
+        for label in ("horizontal_deg", "vertical_deg"):
             deg = getattr(self, label)
             if deg is not None and not 0 < deg <= 360:
                 raise ValidationError("<sensor>", f"fov.{label}", "must be in (0, 360]")
@@ -126,8 +124,8 @@ class FieldOfView:
 class SensorRecord:
     """Raw physical specs of one candidate sensor.
 
-    Units: range in meters, power in watts, mass in grams, dimensions in
-    millimeters, price in USD, angles in degrees.
+    Units: range in meters, power in watts, mass in grams, price in USD,
+    angles in degrees.
     """
 
     id: str
@@ -144,8 +142,6 @@ class SensorRecord:
     darkness_robust: Ordinal | None = None
     dust_robust: Ordinal | None = None
     implementation_ease: Ordinal | None = None
-    dimensions: tuple[float, ...] | None = None   # mm, 2 or 3 values
-    aliases: tuple[str, ...] = ()
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -176,8 +172,6 @@ class SensorRecord:
                 or self.resolution.vertical_res_deg <= 0
             ):
                 raise ValidationError(self.id, "resolution", "angular steps must be > 0")
-        if self.dimensions is not None and len(self.dimensions) not in (2, 3):
-            raise ValidationError(self.id, "dimensions", "expected 2 or 3 mm values")
         for name in ("darkness_robust", "dust_robust", "implementation_ease"):
             if not isinstance(getattr(self, name), (Ordinal, type(None))):  # not 2, True or 2.0
                 raise ValidationError(self.id, name, "must be an Ordinal or None")
@@ -471,26 +465,23 @@ def _sensor(value: Any, subject: str, field_name: str) -> SensorRecord:
 
 
 _modality = _enum(Modality)
+# The nested tables are named so that the schema document can be checked against them.
+_PIXELS = _Table({"width": _integer, "height": _integer}, ("width", "height"))
+_SCAN = _Table({"horizontal_res_deg": _number, "vertical_res_deg": _number},
+               ("horizontal_res_deg", "vertical_res_deg"))
+_ACCURACY = _Table({"percent": _number, "absolute_mm": _number})
+_FOV = _Table({"horizontal_deg": _number, "vertical_deg": _number}, ("horizontal_deg",))
 _RESOLUTION = _Table({
-    "pixels": _record(
-        lambda width, height: PixelGrid(width, height),
-        _Table({"width": _integer, "height": _integer}, ("width", "height")),
-    ),
-    "scan": _record(ScanPattern, _Table(
-        {"channels": _integer, "horizontal_res_deg": _number, "vertical_res_deg": _number},
-        ("channels", "horizontal_res_deg", "vertical_res_deg"),
-    )),
+    "pixels": _record(lambda width, height: PixelGrid(width, height), _PIXELS),
+    "scan": _record(ScanPattern, _SCAN),
 })
 _SENSOR = _Table({
     "id": _text, "name": _text, "modality": _modality, "resolution": _resolution,
-    "accuracy": _record(Accuracy, _Table({"percent": _number, "absolute_mm": _number}), placeholder=True),
-    "fov": _record(FieldOfView, _Table(
-        {"horizontal_deg": _number, "vertical_deg": _number, "diagonal_deg": _number}, ("horizontal_deg",)
-    ), placeholder=True),
+    "accuracy": _record(Accuracy, _ACCURACY, placeholder=True),
+    "fov": _record(FieldOfView, _FOV, placeholder=True),
     "range_min": _number, "range_max": _number, "power": _number,
     "darkness_robust": _ordinal, "dust_robust": _ordinal, "implementation_ease": _ordinal,
-    "mass": _number, "dimensions": _list(_number), "price": _number,
-    "aliases": _list(_text), "notes": _text,
+    "mass": _number, "price": _number, "notes": _text,
 }, required=("id", "modality", "mass", "price"), names="id")
 _CATALOG = _Table({"sensors": _list(_sensor)}, ("sensors",))
 _MISSION = _Table({f.name: _integer if f.type == "int" else _number for f in fields(MissionConfig)},

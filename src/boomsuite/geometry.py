@@ -140,7 +140,6 @@ class SurfaceCoverage:
     cover the surface but only out of range.  ``min_slant_m`` is the least
     slant (m) to such a point over every covering mount, else None."""
 
-    surface: str
     visible: bool
     beyond_range: bool
     min_slant_m: float | None
@@ -327,7 +326,6 @@ def section_coverage(mounts: list[Mount], tube: TubeSection) -> CoverageReport:
             if slants[-1] <= mount.sensor.range_max * (1.0 + RANGE_REL_TOL):
                 seen_by.append(mount.sensor.id)
         results[surface] = SurfaceCoverage(
-            surface=surface,
             visible=bool(seen_by),
             beyond_range=bool(slants) and not seen_by,
             min_slant_m=min(slants, default=None),

@@ -131,11 +131,11 @@ def decision_matrix_table(matrix: DecisionMatrix, catalog: Catalog, fmt: str, ti
         + ["Weighted Sum", "Eligible", "Failing"]
     )
     rows = [["(weights)", *(matrix.weights[c] for c in matrix.criteria), "", "", ""]]
-    for sid in matrix.sensor_ids:
+    for sid, scores in matrix.scores.items():
         failing = matrix.failing[sid]
         rows.append(
             [catalog.get(sid).name]
-            + [matrix.scores[sid][c] for c in matrix.criteria]
+            + [scores[c] for c in matrix.criteria]
             + [matrix.weighted_sums[sid], not failing, ",".join(c.value for c in failing) or None]
         )
     return render_table(headers, rows, fmt, title=title)
@@ -201,8 +201,8 @@ def coverage_table(
 ) -> str:
     headers = ["Surface", "Visible", "Beyond Range", "Min Slant (m)", "Seen By"]
     rows = [
-        [cov.surface, cov.visible, cov.beyond_range, cov.min_slant_m, ",".join(cov.seen_by) or None]
-        for cov in report.surfaces.values()
+        [surface, cov.visible, cov.beyond_range, cov.min_slant_m, ",".join(cov.seen_by) or None]
+        for surface, cov in report.surfaces.items()
     ]
     return render_table(headers, rows, fmt, title=title, before=before, after=after)
 

@@ -185,12 +185,6 @@ class ScoringProfile:
                 if type(value) is not int or value not in (0, 1, 2):  # True and 1.0 too
                     raise ValidationError(sensor_id, crit.value, "override must be 0, 1 or 2")
 
-    def override_for(self, sensor_id: str, name: CriterionName) -> int | None:
-        cells = self.overrides.get(sensor_id)
-        if cells is None:
-            return None
-        return cells.get(name)
-
     def with_weight(self, name: CriterionName, weight: int) -> "ScoringProfile":
         """Copy of this profile with one criterion's weight replaced."""
         criteria = tuple(
@@ -203,12 +197,12 @@ class ScoringProfile:
 class DecisionMatrix:
     """Ordinal scores, weighted sums, ranking and gate results.
 
-    ``ranking`` sorts ids by weighted sum descending, ties broken by
-    catalog order.  ``failing[sid]`` names the gating criteria the sensor
-    scores 0 on, in profile order; it is eligible exactly when that is empty.
+    ``scores`` holds one row per sensor, in catalog order.  ``ranking``
+    sorts ids by weighted sum descending, ties broken by catalog order.
+    ``failing[sid]`` names the gating criteria the sensor scores 0 on, in
+    profile order; it is eligible exactly when that is empty.
     """
 
-    sensor_ids: tuple[str, ...]
     criteria: tuple[CriterionName, ...]
     weights: Mapping[CriterionName, int]
     scores: Mapping[str, Mapping[CriterionName, int]]
@@ -236,9 +230,10 @@ def score_matrix(catalog: Catalog, profile: ScoringProfile) -> DecisionMatrix:
     """
     scores: dict[str, dict[CriterionName, int]] = {}
     for sensor in catalog:
+        cells = profile.overrides.get(sensor.id, {})
         row = scores[sensor.id] = {}
         for criterion in profile.criteria:
-            value = profile.override_for(sensor.id, criterion.name)
+            value = cells.get(criterion.name)
             row[criterion.name] = criterion.bins.apply(sensor) if value is None else value
     unresolved = [
         (sid, name.value) for sid, row in scores.items() for name, cell in row.items() if cell is None
@@ -250,14 +245,12 @@ def score_matrix(catalog: Catalog, profile: ScoringProfile) -> DecisionMatrix:
     sums = {sid: sum(row[c.name] * c.weight for c in profile.criteria) for sid, row in scores.items()}
     failing = {sid: tuple(name for name in gating if row[name] == 0) for sid, row in scores.items()}
 
-    ids = catalog.ids()
     return DecisionMatrix(
-        sensor_ids=ids,
         criteria=tuple(c.name for c in profile.criteria),
         weights={c.name: c.weight for c in profile.criteria},
         scores=scores,
         weighted_sums=sums,
-        ranking=tuple(sorted(ids, key=lambda sid: -sums[sid])),  # a stable sort: ties keep catalog order
+        ranking=tuple(sorted(scores, key=lambda sid: -sums[sid])),  # a stable sort: ties keep catalog order
         failing=failing,
     )
 

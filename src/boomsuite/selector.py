@@ -244,7 +244,7 @@ def _diagnose(body_slot: _Slot, distal_slot: _Slot) -> list[str]:
 
     reasons = []
     for label, slot in (("body", body_slot), ("distal", distal_slot)):
-        if not slot.matrix.sensor_ids:
+        if not slot.matrix.scores:
             reasons.append(f"{label}: no candidate sensors of the admitted modalities")
             continue
         if not slot.eligible:
@@ -312,7 +312,11 @@ def _top_usable(
 ) -> list[tuple[SensorRecord, ...]]:
     """Every admissible subset at the top score among those whose anchor
     passes ``check``, in draw order (empty when none passes), drawn only
-    as far as that score."""
+    as far as that score.  An anchor is one of its subset's sensors, so
+    when no eligible sensor passes, no subset is drawn."""
+    if not any(s.range_min is not None and s.range_max is not None and check(s, boom_length)
+               for s in slot.eligible):
+        return []
     top_score, top = None, []
     for score, subset in _ranked_subsets(slot):
         if top_score is not None and score < top_score:

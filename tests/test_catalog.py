@@ -25,6 +25,10 @@ from boomsuite.catalog import (
     PixelGrid,
     ScanPattern,
     SensorRecord,
+    _ACCURACY,
+    _FOV,
+    _PIXELS,
+    _SCAN,
     _SENSOR,
     bundled_path,
     load_catalog,
@@ -62,7 +66,7 @@ def test_bundled_catalog_spot_values(catalog):
     assert vlp.price == 4000
     assert vlp.range_max == 100
     assert isinstance(vlp.resolution, ScanPattern)
-    assert vlp.resolution.channels == 16
+    assert vlp.resolution.horizontal_res_deg == 0.1
     assert vlp.fov.vertical_deg == 30
     assert vlp.darkness_robust is Ordinal.HIGH
     assert vlp.dust_robust is Ordinal.LOW
@@ -82,9 +86,8 @@ def test_bundled_catalog_spot_values(catalog):
     assert firefly.range_max is None and firefly.accuracy is None
 
 
-def test_aliased_record_carries_both_names(catalog):
-    d455 = catalog.get("d455i")
-    assert "Intel D605i" in d455.aliases
+def test_notes_keep_the_other_designation_of_a_sensor(catalog):
+    assert "Intel D605i" in catalog.get("d455i").notes
 
 
 def test_mission_values(mission):
@@ -146,12 +149,11 @@ def test_range_ordering_rejected(tmp_path):
         ({"mass": None}, "mass"),
         ({"range_min": -1, "range_max": 5}, "range_min"),
         ({"dust_robust": "sometimes"}, "dust_robust"),
-        ({"dimensions": [1]}, "dimensions"),
         ({"resolution": {}}, "resolution"),
         (
             {"resolution": {
                 "pixels": {"width": 10, "height": 10},
-                "scan": {"channels": 1, "horizontal_res_deg": 1, "vertical_res_deg": 1},
+                "scan": {"horizontal_res_deg": 1, "vertical_res_deg": 1},
             }},
             "resolution",
         ),
@@ -161,12 +163,11 @@ def test_range_ordering_rejected(tmp_path):
         ({"resolution": {"pixels": {"width": 10.5, "height": 10}}}, "resolution.pixels.width"),
         ({"resolution": {"pixels": {"height": 10}}}, "resolution.pixels.width"),
         (
-            {"resolution": {"scan": {"channels": 16, "horizontal_res_deg": 0.2}}},
+            {"resolution": {"scan": {"horizontal_res_deg": 0.2}}},
             "resolution.scan.vertical_res_deg",
         ),
         ({"fov": {"vertical_deg": 30}}, "fov.horizontal_deg"),
         ({"fov": {"horizontal_deg": 90, "vertical": 30}}, "fov.vertical"),
-        ({"aliases": "abc"}, "aliases"),
         ({"power": None}, "power"),
         ({"dust_robst": "high"}, "dust_robst"),
     ],
@@ -193,6 +194,14 @@ def test_file_formats_doc_lists_every_catalog_and_mission_key():
     sensor_keys = dict.fromkeys(name.split(".")[0] for name in _documented_fields("Sensor catalog"))
     assert list(sensor_keys) == list(_SENSOR.readers)
     assert _documented_fields("Mission configuration") == [f.name for f in fields(MissionConfig)]
+    # each ``{...}`` lists its record's keys in reader order, ``?`` marking an optional one
+    nested = re.findall(r"^\| `([^`]+)` \|[^|]*\| `\{([^}]*)\}`", _documented_section("Sensor catalog"), re.M)
+    tables = {"resolution.pixels": _PIXELS, "resolution.scan": _SCAN, "accuracy": _ACCURACY, "fov": _FOV}
+    assert [name for name, _ in nested] == list(tables)
+    for name, keys in nested:
+        table = tables[name]
+        documented = [key if key in table.required else f"{key}?" for key in table.readers]
+        assert keys.split(", ") == documented, name
 
 
 def test_file_formats_doc_lists_every_flag_with_its_commands():
@@ -336,10 +345,6 @@ def test_subset_by_modality(catalog):
         (
             lambda: FieldOfView(horizontal_deg=90, vertical_deg=400),
             "<sensor>.fov.vertical_deg: must be in (0, 360]",
-        ),
-        (
-            lambda: FieldOfView(horizontal_deg=90, diagonal_deg=0),
-            "<sensor>.fov.diagonal_deg: must be in (0, 360]",
         ),
     ],
 )

@@ -94,9 +94,6 @@ VALUES = st.one_of(
     st.integers(-3, 100),
     HUGE,
 )
-# What a number may become: a huge integer as often as anything else, so
-# that some draws put one where a number is read.
-NUMBER_VALUES = st.one_of(HUGE, VALUES)
 # The suffix that marks a key's repeat until the file text is written:
 # ``yaml.safe_dump`` writes a mapping, which cannot hold a key twice.
 REPEAT = "__repeat"
@@ -122,15 +119,34 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _numbers(node):
+    """Every number in ``node``, as its container and key."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if _is_number(child):
+            yield node, key
+        elif isinstance(child, (dict, list)):
+            yield from _numbers(child)
+
+
 def _mutate(data, doc) -> bool:
     """Drop one field of ``doc``, misspell its key, repeat it with another
-    value (marked, for ``_argv`` to write), or give it another value.
-    True when that put an integer too large for a float in place of a number."""
+    value (marked, for ``_argv`` to write), give it another value, or put
+    an integer too large for a float in place of one of its numbers.  That
+    number is picked among the numbers alone, so how often a huge integer
+    reaches one does not depend on how many of the file's fields are
+    numbers.  True when it did."""
+    change = data.draw(st.sampled_from(["drop", "rename", "repeat", "set", "huge"]))
+    if change == "huge":
+        numbers = list(_numbers(doc))
+        if not numbers:
+            return False
+        node, key = data.draw(st.sampled_from(numbers))
+        node[key] = data.draw(HUGE)
+        return True
     field = _field(data, doc)
     if field is None:
         return False
     node, key = field
-    change = data.draw(st.sampled_from(["drop", "rename", "repeat", "set"]))
     if change == "drop":
         del node[key]
     elif change == "rename" and isinstance(node, dict):
@@ -140,9 +156,7 @@ def _mutate(data, doc) -> bool:
             node, key = doc, data.draw(st.sampled_from(sorted(doc, key=str)))
         node[f"{key}{REPEAT}"] = data.draw(VALUES)
     else:
-        was_number = _is_number(node[key])
-        node[key] = data.draw(NUMBER_VALUES if was_number else VALUES)
-        return was_number and _is_number(node[key]) and node[key] >= 10**399
+        node[key] = data.draw(VALUES)
     return False
 
 

@@ -101,7 +101,7 @@ def test_footprint_area_scales_with_range_squared(r):
         resolution=PixelGrid(1000, 800),
         fov=FieldOfView(horizontal_deg=80, vertical_deg=50),
     )
-    scan = _sensor(resolution=ScanPattern(16, 0.2, 0.5))
+    scan = _sensor(resolution=ScanPattern(0.2, 0.5))
     for sensor in (pixel, scan):
         a1 = footprint_at_range(sensor, r).area_mm2
         a2 = footprint_at_range(sensor, 2 * r).area_mm2
@@ -120,7 +120,7 @@ def test_feature_resolvable_reference_counts(catalog):
 def test_feature_resolvable_inclusive_boundary():
     # footprint engineered to exactly 5 mm x 5 mm at 1 m
     step = math.degrees(0.005)
-    sensor = _sensor(resolution=ScanPattern(1, step, step))
+    sensor = _sensor(resolution=ScanPattern(step, step))
     fp = footprint_at_range(sensor, 1.0)
     assert fp.area_mm2 == pytest.approx(25.0, rel=1e-12)
     ok, _ = feature_resolvable(sensor, 1.0, 50)

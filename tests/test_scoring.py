@@ -289,7 +289,7 @@ def test_uniform_weight_scaling_preserves_ranking_and_ties(seed, size, k):
     # tie sets are identical, not just the order
     def tie_sets(matrix):
         groups = {}
-        for sid in matrix.sensor_ids:
+        for sid in matrix.scores:
             groups.setdefault(matrix.weighted_sums[sid], set()).add(sid)
         return sorted(map(frozenset, groups.values()), key=lambda g: sorted(g))
     assert tie_sets(base) == tie_sets(scaled)

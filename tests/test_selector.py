@@ -502,3 +502,31 @@ def test_five_sensors_per_slot_on_120_sensors_plans_each_anchor_pair_once(monkey
     assert len(best.body_sensors) == len(best.distal_sensors) == 5
     _feasibility_invariants(best, rules, cat)
     assert pairs == [(best.stage_plan.far_sensor_id, best.stage_plan.near_sensor_id)]
+
+
+def test_a_placement_no_sensor_can_anchor_is_turned_away_without_a_walk(monkeypatch):
+    # 40 body sensors that reach at most 8 m on a 10 m boom: 102,090
+    # subsets of up to four, none of which has a far-stage anchor
+    rng = random.Random(0)
+    mission = dataclasses.replace(random_mission(rng), boom_length=10.0)
+    cat = Catalog(tuple(
+        dataclasses.replace(s, range_max=min(s.range_max, 8.0)) for s in random_catalog(rng, 40)
+    ))
+    scores = {s.id: rng.randint(0, 7) for s in cat}
+    rules = [
+        PlacementRule(Placement.BODY, 1000.0, _scored_profile(Stage.FAR_FIELD, scores), max_sensors=4),
+        PlacementRule(Placement.DISTAL, 1000.0, _scored_profile(Stage.NEAR_FIELD, scores)),
+    ]
+    calls = 0
+    original = selector.stage_anchor
+
+    def counted(sensors):
+        nonlocal calls
+        calls += 1
+        return original(sensors)
+
+    monkeypatch.setattr(selector, "stage_anchor", counted)
+    with pytest.raises(NoFeasibleSuiteError) as exc:
+        select_best(cat, rules, mission)
+    assert exc.value.reasons == ["no body/distal combination yields a workable stage plan"]
+    assert calls < 50
