@@ -43,7 +43,6 @@ _EXPORTS = {
             "ValidationError",
         ),
         "geometry": (
-            "CoverageReport",
             "Footprint",
             "Mount",
             "StagePlan",

@@ -55,8 +55,11 @@ class BudgetReport:
     body_margin: float
     distal_margin: float
     pulloff_margin: float
-    feasible: bool
     reasons: dict[str, str]
+
+    @property
+    def feasible(self) -> bool:
+        return not self.reasons
 
 
 def boom_mass(length_m: float, density_g_per_m: float) -> float:
@@ -178,7 +181,6 @@ def budget_report(
         body_margin=body_margin,
         distal_margin=distal_margin,
         pulloff_margin=capacity - weight,
-        feasible=not reasons,
         reasons=reasons,
     )
     for name, value in vars(report).items():

@@ -147,6 +147,11 @@ class SensorRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("<sensor>", "id", "must be non-empty")
+        # a line break, of any kind str.splitlines knows, would split a table row
+        if "".join(self.id.splitlines()) != self.id:
+            raise ValidationError("<sensor>", "id", "must be one line")
+        if "".join(self.name.splitlines()) != self.name:
+            raise ValidationError(self.id, "name", "must be one line")
         if self.mass <= 0:
             raise ValidationError(self.id, "mass", "must be > 0 grams")
         if self.price < 0:

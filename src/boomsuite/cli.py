@@ -24,7 +24,7 @@ if TYPE_CHECKING:
     from collections.abc import Callable, Iterator
 
     from .catalog import Catalog, MissionConfig
-    from .geometry import CoverageReport, TubeSection
+    from .geometry import SurfaceCoverage, TubeSection
     from .mounts import MountSpec
     from .scoring import ScoringProfile
     from .selector import PlacementRule, SuiteSolution
@@ -126,7 +126,7 @@ def _matrix_section(catalog: Catalog, profile: ScoringProfile, fmt: str, title: 
 
 def _coverage(
     spec: MountSpec, mission: MissionConfig, depth: float | None = None, width: float | None = None
-) -> tuple[TubeSection, CoverageReport]:
+) -> tuple[TubeSection, dict[str, SurfaceCoverage]]:
     """The analysis slice, with ``depth``/``width`` overriding the mounts
     file's or the mission's but not the body's height or offset, and what
     the body mounts see of it."""
@@ -258,12 +258,12 @@ def cmd_coverage(args: argparse.Namespace) -> tuple[int, str]:
 
     catalog, mission = _load_inputs(args)
     spec = load_mounts(_input(args, "mounts"), catalog)
-    tube, report = _coverage(spec, mission, args.tube_depth, args.tube_width)
+    tube, coverage = _coverage(spec, mission, args.tube_depth, args.tube_width)
     section = coverage_table(
-        report, args.format, title="Cross-Section Coverage",
+        coverage, args.format, title="Cross-Section Coverage",
         before=_mount_lines(spec, tube, mission), after=_plan_lines(spec, mission),
     )
-    not_visible = [s for s, cov in report.surfaces.items() if not cov.visible]
+    not_visible = [s for s, cov in coverage.items() if not cov.visible]
     if not_visible:
         return EXIT_INFEASIBLE, f"{section}\nnot visible: {', '.join(not_visible)}"
     return EXIT_OK, section
@@ -319,7 +319,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[int, str]:
     suite, section = _selection(args, catalog, mission, rules)
     sections.append(section)
 
-    feasible = budget.feasible and coverage.all_visible and suite is not None
+    feasible = budget.feasible and all(c.visible for c in coverage.values()) and suite is not None
     return (EXIT_OK if feasible else EXIT_INFEASIBLE), "\n\n".join(sections)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "TubeSection",
     "Mount",
     "SurfaceCoverage",
-    "CoverageReport",
     "StagePlan",
     "Strategy",
     "near_field_threshold",
@@ -144,17 +143,6 @@ class SurfaceCoverage:
     beyond_range: bool
     min_slant_m: float | None
     seen_by: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Each surface's coverage by name: floor, ceiling, right_wall, left_wall."""
-
-    surfaces: dict[str, SurfaceCoverage]
-
-    @property
-    def all_visible(self) -> bool:
-        return all(s.visible for s in self.surfaces.values())
 
 
 class Strategy(enum.Enum):
@@ -296,8 +284,8 @@ def _nearest_offset(arc: tuple[float, float], normal: float, lo: float, hi: floa
     return best
 
 
-def section_coverage(mounts: list[Mount], tube: TubeSection) -> CoverageReport:
-    """Which surfaces of the cross-section the mounted sensors can see.
+def section_coverage(mounts: list[Mount], tube: TubeSection) -> dict[str, SurfaceCoverage]:
+    """What the mounted sensors see of each surface: floor, ceiling, right_wall, left_wall.
 
     A surface is visible when some mount's covered directions meet the
     surface's angular span AND the covered point nearest the body lies
@@ -331,7 +319,7 @@ def section_coverage(mounts: list[Mount], tube: TubeSection) -> CoverageReport:
             min_slant_m=min(slants, default=None),
             seen_by=tuple(dict.fromkeys(seen_by)),
         )
-    return CoverageReport(surfaces=results)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 if TYPE_CHECKING:  # result types, for annotations only
     from .budget import BudgetReport
     from .catalog import Catalog, Modality, Ordinal, SensorRecord
-    from .geometry import CoverageReport, StagePlan
+    from .geometry import StagePlan, SurfaceCoverage
     from .scoring import CriterionName, DecisionMatrix
     from .selector import SensitivityRow, SuiteSolution
 
@@ -110,7 +110,7 @@ def render_table(
         lines.append("| " + " | ".join(headers) + " |")
         lines.append("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
-            lines.append("| " + " | ".join(row) + " |")
+            lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
         return "\n".join(lines)
     if fmt == "table":
         widths = [max(map(len, column)) for column in zip(headers, *rows)]
@@ -127,15 +127,15 @@ def decision_matrix_table(matrix: DecisionMatrix, catalog: Catalog, fmt: str, ti
     """Sensor rows, per-criterion scores, weighted sum, gate flags."""
     headers = (
         ["Sensor"]
-        + [_CRITERION_LABELS[c.value] for c in matrix.criteria]
+        + [_CRITERION_LABELS[c.value] for c in matrix.weights]
         + ["Weighted Sum", "Eligible", "Failing"]
     )
-    rows = [["(weights)", *(matrix.weights[c] for c in matrix.criteria), "", "", ""]]
+    rows = [["(weights)", *matrix.weights.values(), "", "", ""]]
     for sid, scores in matrix.scores.items():
         failing = matrix.failing[sid]
         rows.append(
             [catalog.get(sid).name]
-            + [scores[c] for c in matrix.criteria]
+            + list(scores.values())
             + [matrix.weighted_sums[sid], not failing, ",".join(c.value for c in failing) or None]
         )
     return render_table(headers, rows, fmt, title=title)
@@ -193,7 +193,7 @@ def budget_summary_lines(report: BudgetReport) -> list[Prose]:
 
 
 def coverage_table(
-    report: CoverageReport,
+    report: dict[str, SurfaceCoverage],
     fmt: str,
     title: str,
     before: Iterable[Prose] = (),
@@ -202,7 +202,7 @@ def coverage_table(
     headers = ["Surface", "Visible", "Beyond Range", "Min Slant (m)", "Seen By"]
     rows = [
         [surface, cov.visible, cov.beyond_range, cov.min_slant_m, ",".join(cov.seen_by) or None]
-        for surface, cov in report.surfaces.items()
+        for surface, cov in report.items()
     ]
     return render_table(headers, rows, fmt, title=title, before=before, after=after)
 

@@ -195,23 +195,23 @@ class ScoringProfile:
 
 @dataclass(frozen=True)
 class DecisionMatrix:
-    """Ordinal scores, weighted sums, ranking and gate results.
+    """Ordinal scores, weighted sums and gate results.
 
-    ``scores`` holds one row per sensor, in catalog order.  ``ranking``
-    sorts ids by weighted sum descending, ties broken by catalog order.
+    ``weights`` and each row of ``scores`` are in profile order, and
+    ``scores`` holds one row per sensor, in catalog order.
     ``failing[sid]`` names the gating criteria the sensor scores 0 on, in
     profile order; it is eligible exactly when that is empty.
     """
 
-    criteria: tuple[CriterionName, ...]
     weights: Mapping[CriterionName, int]
     scores: Mapping[str, Mapping[CriterionName, int]]
     weighted_sums: Mapping[str, int]
-    ranking: tuple[str, ...]
     failing: Mapping[str, tuple[CriterionName, ...]]
 
-    def score(self, sensor_id: str, criterion: CriterionName) -> int:
-        return self.scores[sensor_id][criterion]
+    @property
+    def ranking(self) -> tuple[str, ...]:
+        """Ids by weighted sum descending, ties broken by catalog order."""
+        return tuple(sorted(self.weighted_sums, key=lambda sid: -self.weighted_sums[sid]))  # a stable sort
 
 
 # A function of its own because bench/spans.py traces it by name.
@@ -242,17 +242,10 @@ def score_matrix(catalog: Catalog, profile: ScoringProfile) -> DecisionMatrix:
         raise ScoringError(unresolved)
 
     gating = gate_requirements(profile)
-    sums = {sid: sum(row[c.name] * c.weight for c in profile.criteria) for sid, row in scores.items()}
+    weights = {c.name: c.weight for c in profile.criteria}
+    sums = {sid: sum(row[name] * w for name, w in weights.items()) for sid, row in scores.items()}
     failing = {sid: tuple(name for name in gating if row[name] == 0) for sid, row in scores.items()}
-
-    return DecisionMatrix(
-        criteria=tuple(c.name for c in profile.criteria),
-        weights={c.name: c.weight for c in profile.criteria},
-        scores=scores,
-        weighted_sums=sums,
-        ranking=tuple(sorted(scores, key=lambda sid: -sums[sid])),  # a stable sort: ties keep catalog order
-        failing=failing,
-    )
+    return DecisionMatrix(weights=weights, scores=scores, weighted_sums=sums, failing=failing)
 
 
 def modality_table(
@@ -279,7 +272,7 @@ def modality_table(
             kind = f"is a {exemplar.modality.value}, not a {modality.value}"
             raise ValidationError(profile.stage.value, key, f"sensor {exemplar_id!r} {kind}")
         row_matrix = score_matrix(Catalog((exemplar,)), profile)
-        grades = {name: Ordinal(row_matrix.scores[exemplar.id][name]) for name in row_matrix.criteria}
+        grades = {name: Ordinal(score) for name, score in row_matrix.scores[exemplar.id].items()}
         table[modality] = exemplar, grades
     return table
 

@@ -143,9 +143,6 @@ class _Slot:
     matrix: DecisionMatrix
     eligible: tuple[SensorRecord, ...]
 
-    def score(self, sensor_id: str) -> int:
-        return self.matrix.weighted_sums[sensor_id]
-
 
 def _build_slot(catalog: Catalog, rule: PlacementRule) -> _Slot:
     pool = catalog.subset(modalities=rule.modalities)
@@ -156,7 +153,7 @@ def _build_slot(catalog: Catalog, rule: PlacementRule) -> _Slot:
 
 def _dust_modalities(slot: _Slot, sensors: tuple[SensorRecord, ...]) -> set[Modality]:
     """The distinct modalities among ``sensors`` that score above zero on dust."""
-    return {s.modality for s in sensors if slot.matrix.score(s.id, CriterionName.DUST) > 0}
+    return {s.modality for s in sensors if slot.matrix.scores[s.id][CriterionName.DUST] > 0}
 
 
 def _subset_ok(slot: _Slot, subset: tuple[SensorRecord, ...]) -> bool:
@@ -174,7 +171,8 @@ def _solution(
     plan: StagePlan,
 ) -> SuiteSolution:
     """The SuiteSolution of a pair whose stage plan is usable."""
-    score = sum(body_slot.score(s.id) for s in body) + sum(distal_slot.score(s.id) for s in distal)
+    body_sums, distal_sums = body_slot.matrix.weighted_sums, distal_slot.matrix.weighted_sums
+    score = sum(body_sums[s.id] for s in body) + sum(distal_sums[s.id] for s in distal)
     return SuiteSolution(
         body_sensors=tuple(s.id for s in body),
         distal_sensors=tuple(s.id for s in distal),
@@ -283,7 +281,7 @@ def _ranked_subsets(slot: _Slot) -> Iterator[tuple[int, tuple[SensorRecord, ...]
     still expands, since a lighter child may pass.  Subsets are tuples in
     ``slot.eligible`` order.
     """
-    scores = [slot.score(s.id) for s in slot.eligible]
+    scores = [slot.matrix.weighted_sums[s.id] for s in slot.eligible]
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
     gain = [scores[i] for i in order]
     n = len(order)

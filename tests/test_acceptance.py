@@ -176,7 +176,7 @@ def test_criterion_7b_weighted_sum_monotonicity():
         target = rng.choice(cat.ids())
         name = rng.choice(weighted)
         base = score_matrix(cat, profile)
-        current = base.score(target, name)
+        current = base.scores[target][name]
         if current == 2:
             continue
         bumped = score_matrix(cat, with_override(profile, target, name, current + 1))
@@ -254,5 +254,5 @@ def test_criterion_7e_coverage_matches_sampling_oracle_on_100_configs():
         report = section_coverage(mounts, tube)
         oracle = coverage_by_sampling(mounts, tube)
         for surface, flags in oracle.items():
-            assert report.surfaces[surface].visible == flags["visible"]
-            assert report.surfaces[surface].beyond_range == flags["beyond_range"]
+            assert report[surface].visible == flags["visible"]
+            assert report[surface].beyond_range == flags["beyond_range"]

@@ -170,6 +170,10 @@ def test_range_ordering_rejected(tmp_path):
         ({"fov": {"horizontal_deg": 90, "vertical": 30}}, "fov.vertical"),
         ({"power": None}, "power"),
         ({"dust_robst": "high"}, "dust_robst"),
+        ({"name": "Velodyne Puck\n"}, "name"),  # as a YAML block scalar (name: |) reads
+        ({"resolution": {"pixels": {"width": 0, "height": 10}}}, "resolution"),
+        ({"resolution": {"scan": {"horizontal_res_deg": 0.2, "vertical_res_deg": 0}}}, "resolution"),
+        ({"range_max": 0}, "range_max"),
     ],
 )
 def test_malformed_sensor_names_field(tmp_path, mutation, field):
@@ -268,6 +272,11 @@ def test_every_loader_words_file_errors_alike(tmp_path, monkeypatch, loader):
                 loader(path)
             assert str(exc.value).startswith(start)
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+def test_bundled_path_of_an_unknown_name_is_a_config_error():
+    with pytest.raises(ConfigError, match="no bundled fixture named 'paper_catalog.yml'"):
+        bundled_path("paper_catalog.yml")
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml")

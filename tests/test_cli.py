@@ -562,6 +562,29 @@ def test_coverage_plans_only_for_the_format_that_prints_the_plan(capsys, monkeyp
     assert ("stage plan: valid" in out or "stage plan: marginal" in out) == bool(plans)
 
 
+def test_coverage_prints_an_invalid_plan_of_a_body_sensor_short_of_the_boom(capsys, tmp_path):
+    """A body sensor reaching 5 m cannot cover a 10 m boom as the far stage:
+    its plan prints, marked invalid."""
+    mounts = _mutated(tmp_path, "paper_mounts.yaml", lambda d: d.__setitem__(
+        "body_mounts", [{"sensor": "iphone12", "tilt_deg": 0, "spinning": True}]))
+    code, out, _ = run(capsys, "coverage", "--preset", "paper", "--mounts", mounts)
+    assert code == 1  # nothing is within 5 m of the body in the 30 m slice
+    assert "stage plan: far=iphone12 near=d435i" in out.splitlines()
+    assert out.splitlines()[-2] == "stage plan: invalid"
+
+
+def test_an_md_cell_escapes_a_pipe_so_a_row_keeps_its_cells(capsys, tmp_path):
+    catalog = _mutated(
+        tmp_path, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("name", "Velodyne | Puck")
+    )
+    code, out, _ = run(capsys, "evaluate", "--preset", "paper", "--catalog", catalog,
+                       "--profile", "far_field", "--format", "md")
+    assert code == 0
+    cells = [len(re.split(r"(?<!\\)\|", line)) for line in out.splitlines() if line.startswith("|")]
+    assert len(set(cells)) == 1
+    assert "| Velodyne \\| Puck |" in out
+
+
 def test_coverage_plans_against_the_longest_range_tip_sensor(capsys, tmp_path):
     mounts = _mutated(
         tmp_path, "paper_mounts.yaml", lambda d: d.__setitem__("distal_sensors", ["d435i", "zed2"])
@@ -829,6 +852,13 @@ DEFECTS = {
             _mutated(tmp, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("name", [1, "a"])),
         ],
         "error: vlp16.name: expected a string, got [1, 'a']",
+    ),
+    "id-is-two-lines": (
+        lambda tmp: [
+            "evaluate", "--preset", "paper", "--catalog",
+            _mutated(tmp, "paper_catalog.yaml", lambda d: _sensor(d, "vlp16").__setitem__("id", "vlp\n16")),
+        ],
+        "error: <sensor>.id: must be one line",
     ),
     "notes-is-a-mapping": (
         lambda tmp: [

@@ -172,29 +172,29 @@ def test_dual_tilted_spinning_units_see_every_surface():
     tube = TubeSection(depth=30, width=30)
     mounts = [Mount(_vlp_like(), 45, True), Mount(_vlp_like(), -45, True)]
     report = section_coverage(mounts, tube)
-    assert report.all_visible
+    assert all(c.visible for c in report.values())
     # nearest ceiling sighting is at the 60 deg coverage edge: 15/sin(60)
-    assert report.surfaces["ceiling"].min_slant_m == pytest.approx(15 / math.sin(math.radians(60)))
-    assert report.surfaces["right_wall"].min_slant_m == pytest.approx(15.0)
+    assert report["ceiling"].min_slant_m == pytest.approx(15 / math.sin(math.radians(60)))
+    assert report["right_wall"].min_slant_m == pytest.approx(15.0)
 
 
 def test_untilted_unit_cannot_see_the_ceiling():
     tube = TubeSection(depth=30, width=30)
     report = section_coverage([Mount(_vlp_like(), 0, True)], tube)
-    assert not report.surfaces["ceiling"].visible
-    assert not report.surfaces["ceiling"].beyond_range  # never covered at all
-    assert report.surfaces["right_wall"].visible
+    assert not report["ceiling"].visible
+    assert not report["ceiling"].beyond_range  # never covered at all
+    assert report["right_wall"].visible
 
 
 def test_wide_tube_walls_flagged_beyond_range():
     tube = TubeSection(depth=30, width=300)
     mounts = [Mount(_vlp_like(range_max=100.0), 45, True), Mount(_vlp_like(range_max=100.0), -45, True)]
     report = section_coverage(mounts, tube)
-    assert report.surfaces["floor"].visible and report.surfaces["ceiling"].visible
+    assert report["floor"].visible and report["ceiling"].visible
     for wall in ("right_wall", "left_wall"):
-        assert not report.surfaces[wall].visible
-        assert report.surfaces[wall].beyond_range
-        assert report.surfaces[wall].min_slant_m == pytest.approx(150.0)
+        assert not report[wall].visible
+        assert report[wall].beyond_range
+        assert report[wall].min_slant_m == pytest.approx(150.0)
 
 
 def test_a_surface_exactly_at_range_reads_visible():
@@ -211,7 +211,7 @@ def test_a_surface_exactly_at_range_reads_visible():
         tube = TubeSection(depth=rng.choice([40, 50]), width=width)
         for range_max, visible in ((width, True), (width * (1 - 1e-9), False)):
             sensor = _sensor(fov=FieldOfView(horizontal_deg=360, vertical_deg=2 * half), range_max=range_max)
-            wall = section_coverage([Mount(sensor, tilt)], tube).surfaces["left_wall"]
+            wall = section_coverage([Mount(sensor, tilt)], tube)["left_wall"]
             assert wall.visible is visible, (tube, tilt, 2 * half, range_max, wall.min_slant_m)
             assert wall.min_slant_m == pytest.approx(width, rel=1e-14)
 
@@ -231,7 +231,24 @@ def test_full_sphere_sensor_sees_everything(depth, width, hfrac, ofrac):
     )
     tube = TubeSection(depth=depth, width=width, body_height=depth * hfrac, body_offset=width * ofrac)
     report = section_coverage([Mount(sensor, 0, True)], tube)
-    assert report.all_visible
+    assert all(c.visible for c in report.values())
+
+
+def test_a_static_full_turn_of_view_sees_each_surface_along_its_normal():
+    """A sensor with only ``horizontal_deg: 360`` takes that as its vertical
+    view too: mounted static, it covers every direction, so each surface is
+    seen at the body's normal distance to it, as the sampling oracle finds."""
+    sensor = _sensor(fov=FieldOfView(horizontal_deg=360), range_min=0.0, range_max=100.0)
+    tube = TubeSection(depth=30, width=20, body_height=10, body_offset=-4)
+    normal_distance = {"floor": 10, "ceiling": 20, "right_wall": 14, "left_wall": 6}
+    report = section_coverage([Mount(sensor, 0)], tube)
+    oracle = coverage_by_sampling([Mount(sensor, 0)], tube)
+    assert list(report) == list(normal_distance)
+    for surface, distance in normal_distance.items():
+        assert report[surface].visible and report[surface].seen_by == ("t",)
+        assert report[surface].min_slant_m == pytest.approx(distance, rel=1e-12)
+        assert oracle[surface]["visible"]
+        assert oracle[surface]["min_slant_m"] == pytest.approx(distance, rel=1e-12)
 
 
 def test_coverage_interval_union_agrees_with_sampling_oracle():
@@ -271,9 +288,9 @@ def test_coverage_interval_union_agrees_with_sampling_oracle():
             "left_wall": tube.width / 2.0 + x0,
         }
         for surface, flags in oracle.items():
-            assert report.surfaces[surface].visible == flags["visible"], (surface, tube, mounts)
-            assert report.surfaces[surface].beyond_range == flags["beyond_range"], (surface, tube)
-            slant, sampled = report.surfaces[surface].min_slant_m, flags["min_slant_m"]
+            assert report[surface].visible == flags["visible"], (surface, tube, mounts)
+            assert report[surface].beyond_range == flags["beyond_range"], (surface, tube)
+            slant, sampled = report[surface].min_slant_m, flags["min_slant_m"]
             assert (slant is None) == (sampled is None), (surface, tube, mounts)
             if sampled is None:
                 continue

@@ -166,7 +166,7 @@ def test_renaming_ids_in_their_order_keeps_the_choice(draws, least):
 
 def _dust_robust_modalities(catalog, rule, ids):
     matrix = score_matrix(only(catalog, ids), rule.profile)
-    return len({catalog.get(sid).modality for sid in ids if matrix.score(sid, CriterionName.DUST) > 0})
+    return len({catalog.get(sid).modality for sid in ids if matrix.scores[sid][CriterionName.DUST] > 0})
 
 
 @SIZES

@@ -52,7 +52,7 @@ def test_bin_absent_power_is_none_and_overridden(catalog, far_profile):
     assert crit.bins.apply(catalog.get("iphone12")) is None
     pool = only(catalog, ["iphone12"])
     matrix = score_matrix(pool, far_profile)
-    assert matrix.score("iphone12", CriterionName.POWER) == 2
+    assert matrix.scores["iphone12"][CriterionName.POWER] == 2
 
 
 def test_bin_boundaries(catalog, far_profile):
@@ -71,6 +71,8 @@ def test_bin_boundaries(catalog, far_profile):
 def test_bin_rule_rejects_overlapping_regions():
     with pytest.raises(ValidationError):
         BinRule(quantity="mass_g", higher_is_better=True, high=1.0, low=2.0)
+    with pytest.raises(ValidationError, match="^bin.low: low cutoff must exceed high cutoff$"):
+        BinRule(quantity="mass_g", higher_is_better=False, high=2.0, low=2.0)
     with pytest.raises(ValidationError):
         BinRule(quantity="nonsense")
     with pytest.raises(ValidationError):
@@ -105,7 +107,7 @@ def test_weighted_sum_is_exact_integer_dot_product(catalog, far_profile):
     matrix = score_matrix(pool, far_profile)
     for sid in pool.ids():
         expected = sum(
-            matrix.scores[sid][c] * matrix.weights[c] for c in matrix.criteria
+            matrix.scores[sid][c] * matrix.weights[c] for c in matrix.weights
         )
         assert matrix.weighted_sums[sid] == expected
         assert isinstance(matrix.weighted_sums[sid], int)
@@ -133,7 +135,7 @@ def test_unresolved_absent_cells_error(catalog, far_profile):
 def test_an_override_cell_wins_over_the_bin(catalog, far_profile):
     pool = catalog.subset(modalities=far_profile.modalities)
     bumped = score_matrix(pool, with_override(far_profile, "vlp16", CriterionName.RANGE, 0))
-    assert bumped.score("vlp16", CriterionName.RANGE) == 0
+    assert bumped.scores["vlp16"][CriterionName.RANGE] == 0
     assert bumped.weighted_sums["vlp16"] == FAR_SUMS["vlp16"] - 2 * 2
 
 
@@ -161,7 +163,7 @@ def test_vlp16_passes_far_field_gate_with_mid_dust(catalog, far_profile):
     matrix = score_matrix(pool, far_profile)
     assert not matrix.failing["vlp16"]
     # dust scores 1: only a 0 fails a gating criterion
-    assert matrix.score("vlp16", CriterionName.DUST) == 1
+    assert matrix.scores["vlp16"][CriterionName.DUST] == 1
 
 
 def test_short_range_lidars_fail_far_field_range_gate(catalog, far_profile):
@@ -268,7 +270,7 @@ def test_monotonicity_bumping_a_score_raises_the_sum(seed, size):
     target = rng.choice(cat.ids())
     name = rng.choice([c.name for c in profile.criteria if c.weight > 0])
     base = score_matrix(cat, profile)
-    current = base.score(target, name)
+    current = base.scores[target][name]
     if current == 2:
         return
     bumped = score_matrix(cat, with_override(profile, target, name, current + 1))

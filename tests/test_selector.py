@@ -402,7 +402,7 @@ def test_ranked_subsets_draw_every_admissible_subset_once_in_score_order():
         assert set(ids) == {tuple(s.id for s in subset) for subset in _slot_subsets(slot)}
         scores = [score for score, _ in drawn]
         assert scores == sorted(scores, reverse=True)
-        assert scores == [sum(slot.score(s.id) for s in subset) for _, subset in drawn]
+        assert scores == [sum(slot.matrix.weighted_sums[s.id] for s in subset) for _, subset in drawn]
 
 
 def _counting_stage_plan(monkeypatch):
